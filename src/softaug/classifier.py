@@ -10,11 +10,12 @@ stopping on validation accuracy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TrainingError
+from .errors import DataError, DomainError, TrainingError
 from .labels import soft_cross_entropy, softmax
 from .policy import AugmentedExample
 
@@ -94,7 +95,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 10
     patience: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
@@ -210,8 +210,29 @@ def save_model(model: LinearModel, path):
 
 
 def load_model(path) -> LinearModel:
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != _CHECKPOINT_VERSION:
-            raise DomainError(f"unsupported checkpoint version {version}")
-        return LinearModel(data["weights"], data["bias"], int(data["n_class"]))
+    """Read a save_model checkpoint. A file that is not an npz archive, a
+    missing or unreadable key, n_class below 2, a weights or bias shape that
+    does not match n_class and N_BUCKETS, or a non-finite value raises
+    DataError."""
+    try:
+        with np.load(path) as data:
+            missing = [k for k in ("version", "n_class", "weights", "bias") if k not in data.files]
+            if missing:
+                raise DataError(f"checkpoint {path}: missing {', '.join(missing)}")
+            version, n_class = int(data["version"]), int(data["n_class"])
+            weights, bias = data["weights"], data["bias"]
+        finite = np.isfinite(weights).all() and np.isfinite(bias).all()
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as e:
+        raise DataError(f"checkpoint {path}: not a readable checkpoint ({e})") from e
+    if version != _CHECKPOINT_VERSION:
+        raise DomainError(f"unsupported checkpoint version {version}")
+    if n_class < 2:
+        raise DataError(f"checkpoint {path}: n_class={n_class}, expected at least 2")
+    if weights.shape != (n_class, N_BUCKETS) or bias.shape != (n_class,):
+        raise DataError(
+            f"checkpoint {path}: weights {weights.shape} and bias {bias.shape} do not fit "
+            f"n_class={n_class} and {N_BUCKETS} buckets"
+        )
+    if not finite:
+        raise DataError(f"checkpoint {path}: non-finite weights or bias")
+    return LinearModel(weights, bias, n_class)

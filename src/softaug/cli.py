@@ -14,7 +14,7 @@ from pathlib import Path
 from .classifier import TrainConfig, evaluate, load_model, save_model, train
 from .datasets import load_dataset, make_val_split, subsample
 from .errors import DataError, DomainError, TrainingError
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, render_report, run_experiment
 from .policy import AugmentationPolicy, PolicySpace, apply_policy, write_augmented_jsonl
 from .search import SearchConfig, optimize
 from .textops import load_bundled_lexicon, load_lexicon
@@ -127,7 +127,7 @@ def _cmd_train(args) -> int:
     else:
         tr, val = make_val_split(data.split("train"), 0.2, args.seed)
     examples = apply_policy(tr, data.n_class, policy, _lexicon(args.lexicon), rng)
-    model, history = train(examples, val, data.n_class, TrainConfig(seed=args.seed), rng)
+    model, history = train(examples, val, data.n_class, TrainConfig(), rng)
     save_model(model, args.output)
     print(
         f"trained {len(history)} epochs, best val accuracy "
@@ -149,8 +149,6 @@ def _cmd_compare(args) -> int:
     except (OSError, json.JSONDecodeError, TypeError) as e:
         raise DataError(f"cannot read config {args.config}: {e}")
     report = run_experiment(cfg)
-    from .harness import render_report
-
     print(render_report(report), end="")
     return 0
 
@@ -172,10 +170,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (DataError,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (DomainError, OSError) as e:
+    except (DataError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingError, RuntimeError) as e:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, DomainError
@@ -58,8 +58,7 @@ def load_dataset(path, fmt: str | None = None, name: str | None = None) -> Label
     fixed_labels = False
     sidecar = path.with_name(path.name + ".labels.json")
     if sidecar.exists():
-        names = json.loads(sidecar.read_text("utf-8"))
-        label_map = {str(lbl): i for i, lbl in enumerate(names)}
+        label_map = {lbl: i for i, lbl in enumerate(_read_label_names(sidecar))}
         fixed_labels = True
 
     rows: list[tuple[str, str, str]] = []  # (text, label string, split)
@@ -105,6 +104,24 @@ def load_dataset(path, fmt: str | None = None, name: str | None = None) -> Label
         splits={s: part for s, part in splits.items() if part},
         label_names=label_names,
     )
+
+
+def _read_label_names(sidecar: Path) -> list[str]:
+    """The label names of a `.labels.json` sidecar: a JSON list of distinct
+    strings, in class-index order."""
+    try:
+        names = json.loads(sidecar.read_text("utf-8"))
+    except json.JSONDecodeError as e:
+        raise DataError(f"{sidecar.name}: invalid JSON ({e.msg})")
+    if not isinstance(names, list):
+        raise DataError(f"{sidecar.name}: expected a JSON list of label names")
+    for name in names:
+        if not isinstance(name, str):
+            raise DataError(f"{sidecar.name}: label name {name!r} is not a string")
+    if len(set(names)) != len(names):
+        dups = sorted({n for n in names if names.count(n) > 1})
+        raise DataError(f"{sidecar.name}: duplicate label names {dups}")
+    return names
 
 
 def _largest_remainder_quotas(counts: list[int], n: int) -> list[int]:

@@ -13,17 +13,16 @@ import json
 import math
 import os
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .classifier import TrainConfig, evaluate, train
 from .datasets import LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
 from .errors import DomainError
-from .policy import AugmentationPolicy, AugmentedExample, PolicySpace, apply_policy
-from .search import SearchConfig, optimize
-from .augment import aeda
-from .labels import smooth_label
-from .textops import SynonymLexicon, detokenize, load_bundled_lexicon, load_lexicon, tokenize
+from .policy import AugmentationPolicy, PolicySpace, apply_policy
+from .search import _SEED_RANGE, SearchConfig, optimize
+from .textops import SynonymLexicon, load_bundled_lexicon, load_lexicon
 
 __all__ = [
     "METHODS",
@@ -38,8 +37,6 @@ __all__ = [
 
 METHODS = ("baseline", "eda", "aeda", "softeda_fixed", "ours", "ours_no_ls")
 
-_SEED_RANGE = 2**32
-
 
 @dataclass(frozen=True)
 class FixedMethodParams:
@@ -49,6 +46,16 @@ class FixedMethodParams:
     alpha: float = 0.1
     n_aug: int = 4
     eps_aug: float = 0.1
+
+    def __post_init__(self):
+        # every fixed method, baseline included, runs as a policy with these
+        # values, so a value outside the policy bounds would fail every cell
+        if not 0.0 <= self.alpha <= 0.5:
+            raise DomainError(f"fixed.alpha: {self.alpha} not in [0, 0.5]")
+        if not (isinstance(self.n_aug, int) and self.n_aug >= 1):
+            raise DomainError(f"fixed.n_aug: {self.n_aug} must be an integer >= 1")
+        if not 0.0 <= self.eps_aug <= 0.9:
+            raise DomainError(f"fixed.eps_aug: {self.eps_aug} not in [0, 0.9]")
 
 
 @dataclass
@@ -143,37 +150,17 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _hard_labeled(split, n_class) -> list[AugmentedExample]:
-    return [
-        AugmentedExample(text, smooth_label(y, n_class, 0.0), "original", i)
-        for i, (text, y) in enumerate(split)
-    ]
-
-
-def _aeda_augmented(split, n_class, n_aug, rng) -> list[AugmentedExample]:
-    out = _hard_labeled(split, n_class)
-    for i, (text, y) in enumerate(split):
-        tokens = tokenize(text)
-        if not tokens:
-            continue
-        for _ in range(n_aug):
-            out.append(
-                AugmentedExample(
-                    detokenize(aeda(tokens, rng)),
-                    smooth_label(y, n_class, 0.0),
-                    "eda-augmented",
-                    i,
-                )
-            )
-    return out
-
-
-def _fixed_eda_policy(fixed: FixedMethodParams, eps_aug: float) -> AugmentationPolicy:
+def _fixed_policy(method: str, fixed: FixedMethodParams) -> AugmentationPolicy:
+    """A non-searched method as a policy: a uniform mix at magnitude alpha.
+    baseline selects no example; eda, aeda and softeda_fixed select every
+    one, and only softeda_fixed smooths the copies' labels."""
     a = fixed.alpha
     return AugmentationPolicy(
-        p_aug=1.0, p_sr=0.25, p_ri=0.25, p_rs=0.25, p_rd=0.25,
+        p_aug=0.0 if method == "baseline" else 1.0,
+        p_sr=0.25, p_ri=0.25, p_rs=0.25, p_rd=0.25,
         alpha_sr=a, alpha_ri=a, alpha_rs=a, alpha_rd=a,
-        n_aug=fixed.n_aug, eps_ori=0.0, eps_aug=eps_aug,
+        n_aug=fixed.n_aug, eps_ori=0.0,
+        eps_aug=fixed.eps_aug if method == "softeda_fixed" else 0.0,
     )
 
 
@@ -188,8 +175,9 @@ def run_method(
     seed: int,
     artifacts_dir: Path | None = None,
 ) -> float:
-    """One (method, seed) cell: build the training set per the method,
-    train, and return test accuracy in [0, 1]."""
+    """One (method, seed) cell: build the training set with the method's
+    policy (searched for ours/ours_no_ls, fixed otherwise), train, and
+    return test accuracy in [0, 1]."""
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
     rng = random.Random(seed)
@@ -202,29 +190,18 @@ def run_method(
             train=cfg.train,
         )
         log_path = artifacts_dir / f"trials_{method}_seed{seed}.jsonl" if artifacts_dir else None
-        if log_path:
-            with open(log_path, "w", encoding="utf-8") as log:
-                best_policy, _ = optimize(
-                    train_split, val_split, n_class, cfg.space, lex, search_cfg, log
-                )
-        else:
-            best_policy, _ = optimize(
-                train_split, val_split, n_class, cfg.space, lex, search_cfg
-            )
+        with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log:
+            policy, _ = optimize(train_split, val_split, n_class, cfg.space, lex, search_cfg, log)
         if artifacts_dir:
             _atomic_write(
                 artifacts_dir / f"best_policy_{method}_seed{seed}.json",
-                best_policy.to_json() + "\n",
+                policy.to_json() + "\n",
             )
-        examples = apply_policy(train_split, n_class, best_policy, lex, rng)
-    elif method == "baseline":
-        examples = _hard_labeled(train_split, n_class)
-    elif method == "aeda":
-        examples = _aeda_augmented(train_split, n_class, cfg.fixed.n_aug, rng)
-    else:  # eda / softeda_fixed
-        eps = cfg.fixed.eps_aug if method == "softeda_fixed" else 0.0
-        examples = apply_policy(train_split, n_class, _fixed_eda_policy(cfg.fixed, eps), lex, rng)
+    else:
+        policy = _fixed_policy(method, cfg.fixed)
 
+    op = "aeda" if method == "aeda" else "eda"
+    examples = apply_policy(train_split, n_class, policy, lex, rng, op=op)
     model, _ = train(examples, val_split, n_class, cfg.train, rng)
     return evaluate(model, test_split)
 

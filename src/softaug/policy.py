@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .augment import EdaParams, eda
+from .augment import EdaParams, aeda, eda
 from .errors import DomainError
 from .labels import smooth_label
 from .textops import SynonymLexicon, detokenize, tokenize
@@ -136,9 +136,7 @@ class PolicySpace:
 def sample_policy(space: PolicySpace, rng: random.Random) -> AugmentationPolicy:
     """Uniform prior draw: continuous dims uniform in bounds, the mix as
     four normalized Uniform(weight-bounds) draws, n_aug uniform categorical."""
-    weights = [rng.uniform(*space.weight) for _ in range(4)]
-    total = sum(weights)
-    probs = _renormalize([w / total for w in weights])
+    probs = _renormalize([rng.uniform(*space.weight) for _ in range(4)])
     return AugmentationPolicy(
         p_aug=rng.uniform(*space.p_aug),
         p_sr=probs[0],
@@ -185,12 +183,18 @@ def apply_policy(
     policy: AugmentationPolicy,
     lex: SynonymLexicon,
     rng: random.Random,
+    *,
+    op: str = "eda",
 ) -> list[AugmentedExample]:
     """Emit every original (eps_ori smoothing) then, for each original
-    selected with probability p_aug, n_aug EDA copies (eps_aug smoothing),
-    grouped by source index."""
+    selected with probability p_aug, n_aug copies (eps_aug smoothing),
+    grouped by source index. `op` makes each copy: "eda" with the policy's
+    mix and magnitudes, or "aeda" punctuation insertion. With p_aug = 0
+    nothing is selected and rng is not drawn from."""
     if not split:
         raise DomainError("empty dataset")
+    if op not in ("eda", "aeda"):
+        raise DomainError(f"unknown augmentation op {op!r}")
     violations = validate_policy(policy)
     if violations:
         raise DomainError("invalid policy: " + "; ".join(violations))
@@ -201,14 +205,14 @@ def apply_policy(
     ]
     params = policy.eda_params()
     for i, (text, y) in enumerate(split):
-        if rng.random() >= policy.p_aug:
+        if not policy.p_aug or rng.random() >= policy.p_aug:
             continue
         tokens = tokenize(text)
         if not tokens:
             logger.warning("example %d tokenizes to empty; skipping its augmentation", i)
             continue
         for _ in range(policy.n_aug):
-            aug_tokens = eda(tokens, params, lex, rng)
+            aug_tokens = eda(tokens, params, lex, rng) if op == "eda" else aeda(tokens, rng)
             out.append(
                 AugmentedExample(
                     detokenize(aug_tokens),

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from .classifier import TrainConfig, train
 from .errors import DomainError
-from .policy import (
-    AugmentationPolicy,
-    PolicySpace,
-    apply_policy,
-    sample_policy,
-    validate_policy,
-)
+from .policy import AugmentationPolicy, PolicySpace, _renormalize, apply_policy, sample_policy
 from .textops import SynonymLexicon
 
 __all__ = [
@@ -116,10 +110,7 @@ def _vector_to_policy(vec: tuple, space: PolicySpace) -> AugmentationPolicy:
     for (fname, bname), x in zip(_CONT_DIMS, vec[:-1]):
         lo, hi = getattr(space, bname)
         values[fname] = min(max(x, lo), hi)
-    weights = [values["p_sr"], values["p_ri"], values["p_rs"], values["p_rd"]]
-    total = sum(weights)
-    probs = [w / total for w in weights]
-    probs[probs.index(max(probs))] += 1.0 - sum(probs)  # exact simplex sum
+    probs = _renormalize([values["p_sr"], values["p_ri"], values["p_rs"], values["p_rd"]])
     values.update(p_sr=probs[0], p_ri=probs[1], p_rs=probs[2], p_rd=probs[3])
     return AugmentationPolicy(n_aug=int(vec[-1]), **values)
 
@@ -155,50 +146,46 @@ def suggest(
     rng: random.Random,
 ) -> AugmentationPolicy:
     """Next policy to try: a prior draw during startup, a TPE proposal after."""
-    if len(history) < cfg.n_startup:
-        policy = sample_policy(space, rng)
-        return _clamp_smoothing(policy) if cfg.fix_smoothing_to_zero else policy
-
     ranked = sorted(history, key=lambda r: (-r.score, r.trial_index))
     n_good = math.ceil(cfg.gamma * len(history))
     good = [_policy_to_vector(r.policy) for r in ranked[:n_good]]
     bad = [_policy_to_vector(r.policy) for r in ranked[n_good:]]
-    if not bad:  # history too small to split; keep exploring the prior
+    # during startup, or while the history is too small to split, keep
+    # exploring the prior
+    if len(history) < cfg.n_startup or not bad:
         policy = sample_policy(space, rng)
-        return _clamp_smoothing(policy) if cfg.fix_smoothing_to_zero else policy
-
-    bounds = [getattr(space, bname) for _, bname in _CONT_DIMS]
-    # bandwidth from the whole history per dimension: estimating it from the
-    # good/bad subsets alone collapses once the good set concentrates, and a
-    # collapsed l(x) stops proposing anything outside the current best point
-    everything = good + bad
-    bw = [_silverman_bandwidth([v[d] for v in everything], *bounds[d]) for d in range(11)]
-    good_cats = [v[-1] for v in good]
-    bad_cats = [v[-1] for v in bad]
-
-    best_vec, best_ratio = None, -math.inf
-    for _ in range(cfg.n_candidates):
-        vec = []
-        for d in range(11):
-            lo, hi = bounds[d]
-            center = good[rng.randrange(len(good))][d]
-            vec.append(min(max(rng.gauss(center, bw[d]), lo), hi))
+    else:
+        bounds = [getattr(space, bname) for _, bname in _CONT_DIMS]
+        # bandwidth from the whole history per dimension: estimating it from the
+        # good/bad subsets alone collapses once the good set concentrates, and a
+        # collapsed l(x) stops proposing anything outside the current best point
+        everything = good + bad
+        bw = [_silverman_bandwidth([v[d] for v in everything], *bounds[d]) for d in range(11)]
+        good_cats = [v[-1] for v in good]
+        bad_cats = [v[-1] for v in bad]
         cat_probs = [
             (sum(1 for v in good_cats if v == c) + 1) / (len(good_cats) + len(space.n_aug_choices))
             for c in space.n_aug_choices
         ]
-        vec.append(_sample_categorical(space.n_aug_choices, cat_probs, rng))
 
-        ratio = 0.0
-        for d in range(11):
-            ratio += _kde_logpdf(vec[d], [v[d] for v in good], bw[d])
-            ratio -= _kde_logpdf(vec[d], [v[d] for v in bad], bw[d])
-        ratio += _cat_logprob(vec[-1], good_cats, space.n_aug_choices)
-        ratio -= _cat_logprob(vec[-1], bad_cats, space.n_aug_choices)
-        if ratio > best_ratio:
-            best_vec, best_ratio = tuple(vec), ratio
+        best_vec, best_ratio = None, -math.inf
+        for _ in range(cfg.n_candidates):
+            vec = []
+            for d in range(11):
+                lo, hi = bounds[d]
+                center = good[rng.randrange(len(good))][d]
+                vec.append(min(max(rng.gauss(center, bw[d]), lo), hi))
+            vec.append(_sample_categorical(space.n_aug_choices, cat_probs, rng))
 
-    policy = _vector_to_policy(best_vec, space)
+            ratio = 0.0
+            for d in range(11):
+                ratio += _kde_logpdf(vec[d], [v[d] for v in good], bw[d])
+                ratio -= _kde_logpdf(vec[d], [v[d] for v in bad], bw[d])
+            ratio += _cat_logprob(vec[-1], good_cats, space.n_aug_choices)
+            ratio -= _cat_logprob(vec[-1], bad_cats, space.n_aug_choices)
+            if ratio > best_ratio:
+                best_vec, best_ratio = tuple(vec), ratio
+        policy = _vector_to_policy(best_vec, space)
     return _clamp_smoothing(policy) if cfg.fix_smoothing_to_zero else policy
 
 
@@ -230,9 +217,6 @@ def objective(
 ) -> tuple[tuple[float, ...], float]:
     """Train runs_per_trial classifiers on policy-augmented data; each run's
     score is its best validation accuracy. Returns (run_scores, mean)."""
-    violations = validate_policy(policy)
-    if violations:
-        raise DomainError("invalid policy: " + "; ".join(violations))
     run_scores = []
     for _ in range(cfg.runs_per_trial):
         run_rng = random.Random(rng.randrange(_SEED_RANGE))

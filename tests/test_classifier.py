@@ -15,7 +15,7 @@ from softaug.classifier import (
     save_model,
     train,
 )
-from softaug.errors import DomainError
+from softaug.errors import DataError, DomainError
 from softaug.labels import smooth_label
 from softaug.policy import AugmentedExample
 
@@ -171,3 +171,48 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.bias, model.bias)
         for text, _ in TOY_TRAIN[:3]:
             np.testing.assert_array_equal(predict(loaded, text), predict(model, text))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda a: a.pop("bias"), "missing bias"),
+            (lambda a: a.update(weights=np.zeros((2, 10))), "do not fit"),
+            (lambda a: a.update(weights=np.zeros((3, N_BUCKETS))), "do not fit"),
+            (lambda a: a.update(bias=np.zeros(3)), "do not fit"),
+            (lambda a: a["weights"].__setitem__((1, 5), np.nan), "non-finite"),
+            (lambda a: a["bias"].__setitem__(0, np.inf), "non-finite"),
+            (lambda a: a.update(n_class=np.int64(1), weights=np.zeros((1, N_BUCKETS)),
+                                bias=np.zeros(1)), "at least 2"),
+            (lambda a: a.update(n_class=np.zeros(2)), "not a readable"),
+            (lambda a: a.update(weights=np.full((2, N_BUCKETS), "w")), "not a readable"),
+        ],
+    )
+    def test_malformed_checkpoint_rejected(self, tmp_path, change, message):
+        arrays = {
+            "version": np.int64(1),
+            "n_class": np.int64(2),
+            "weights": np.zeros((2, N_BUCKETS)),
+            "bias": np.zeros(2),
+        }
+        change(arrays)
+        path = tmp_path / "model.npz"
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b"weights\n", b"PK\x03\x04truncated"],
+        ids=["empty", "text", "truncated-zip"],
+    )
+    def test_non_archive_rejected(self, tmp_path, content):
+        path = tmp_path / "model.npz"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match="not a readable"):
+            load_model(path)
+
+    def test_plain_npy_rejected(self, tmp_path):
+        path = tmp_path / "model.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(DataError, match="not a readable"):
+            load_model(path)

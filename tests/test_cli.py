@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from softaug.cli import main
@@ -105,6 +106,23 @@ class TestTrainEvalCommands:
         acc = float(capsys.readouterr().out.strip())
         assert 0.0 <= acc <= 1.0
 
+    def test_eval_malformed_checkpoint_is_data_error(self, dataset, tmp_path, capsys):
+        model = tmp_path / "model.npz"
+        np.savez_compressed(
+            model, version=np.int64(1), n_class=np.int64(2),
+            weights=np.zeros((2, 10)), bias=np.zeros(2),
+        )
+        assert main(["eval", "--model", str(model), "--input", str(dataset)]) == 2
+        assert "do not fit" in capsys.readouterr().err
+
+    def test_malformed_label_sidecar_is_data_error(self, dataset, policy_file, tmp_path):
+        (tmp_path / "data.jsonl.labels.json").write_text("[0, 1")
+        code = main([
+            "augment", "--input", str(dataset), "--policy", str(policy_file),
+            "--seed", "0", "--output", str(tmp_path / "o.jsonl"),
+        ])
+        assert code == 2
+
     def test_bad_policy_file(self, dataset, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -132,6 +150,17 @@ class TestCompareCommand:
         assert "baseline" in printed and "±" in printed
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert {c["method"] for c in report["cells"]} == {"baseline", "eda"}
+
+    def test_train_seed_key_rejected(self, tmp_path):
+        # TrainConfig has no seed: training randomness comes from the cell seeds
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"train": {"seed": 3}}))
+        assert main(["compare", "--config", str(path)]) == 2
+
+    def test_fixed_alpha_out_of_range_rejected(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"methods": ["baseline"], "fixed": {"alpha": 0.6}}))
+        assert main(["compare", "--config", str(path)]) == 2
 
     def test_bad_config(self, tmp_path):
         path = tmp_path / "bad.json"

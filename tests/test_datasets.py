@@ -52,6 +52,22 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="row 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            ('["pos", "neg"', "invalid JSON"),
+            ('{"pos": 0, "neg": 1}', "JSON list"),
+            ('["pos", 1]', "not a string"),
+            ('["pos", "pos", "neg"]', "duplicate"),
+        ],
+    )
+    def test_label_sidecar_rejected(self, tmp_path, sidecar, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "a", "label": "pos"}\n{"text": "b", "label": "neg"}\n')
+        (tmp_path / "d.jsonl.labels.json").write_text(sidecar)
+        with pytest.raises(DataError, match=message):
+            load_dataset(path)
+
     def test_bad_json_names_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"text": "a", "label": "x"}\nnot json\n')

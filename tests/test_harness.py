@@ -61,6 +61,24 @@ class TestRunMethod:
         with pytest.raises(DomainError):
             run_method("magic", SEP_TRAIN, SEP_VAL, SEP_TEST, 2, LEX, FAST_CFG, 0)
 
+    @pytest.mark.parametrize(
+        "method, expected",
+        [
+            ("baseline", (0.359375, 0.59375)),
+            ("eda", (0.6875, 0.0)),
+            ("softeda_fixed", (0.6875, 0.0)),
+        ],
+    )
+    def test_fixed_method_golden_accuracies(self, method, expected):
+        # every pos/neg pair labelled positive: the accuracy reads which learned
+        # weights are larger, so it pins the exact training set and rng stream
+        mixed = [(f"pos{i} neg{j}", 1) for i in range(8) for j in range(8)]
+        got = tuple(
+            run_method(method, SEP_TRAIN, SEP_VAL, mixed, 2, LEX, FAST_CFG, seed)
+            for seed in (0, 1)
+        )
+        assert got == expected
+
 
 def tiny_dataset_file(tmp_path, n=40):
     rng = random.Random(0)
@@ -119,6 +137,15 @@ class TestRunExperiment:
             ExperimentConfig(seeds=())
         with pytest.raises(DomainError):
             ExperimentConfig(methods=("nope",))
+
+    @pytest.mark.parametrize(
+        "params, field_name",
+        [({"alpha": 0.6}, "alpha"), ({"n_aug": 0}, "n_aug"), ({"eps_aug": 0.95}, "eps_aug")],
+    )
+    def test_fixed_params_validated(self, params, field_name):
+        # baseline and aeda run as policies too, so their values are bounded
+        with pytest.raises(DomainError, match=f"fixed.{field_name}"):
+            ExperimentConfig.from_dict({"methods": ["baseline", "aeda"], "fixed": params})
 
     def test_config_from_dict_round_trip(self):
         cfg = ExperimentConfig.from_dict(

@@ -1,9 +1,12 @@
+import itertools
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from softaug.augment import PUNCTUATION_MARKS
 from softaug.errors import DomainError
 from softaug.policy import (
     AugmentationPolicy,
@@ -12,7 +15,7 @@ from softaug.policy import (
     sample_policy,
     validate_policy,
 )
-from softaug.textops import load_bundled_lexicon
+from softaug.textops import load_bundled_lexicon, tokenize
 
 LEX = load_bundled_lexicon()
 
@@ -140,6 +143,63 @@ class TestApplyPolicy:
     def test_invalid_policy_rejected(self):
         with pytest.raises(DomainError):
             apply_policy(SENTENCES, 2, replace(BASELINE_POLICY, n_aug=0), LEX, random.Random(0))
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(DomainError):
+            apply_policy(SENTENCES, 2, BASELINE_POLICY, LEX, random.Random(0), op="bt")
+
+    @pytest.mark.parametrize("op", ["eda", "aeda"])
+    def test_p_aug_zero_draws_nothing(self, op):
+        rng = random.Random(3)
+        before = rng.getstate()
+        apply_policy(SENTENCES, 2, replace(BASELINE_POLICY, p_aug=0.0), LEX, rng, op=op)
+        assert rng.getstate() == before
+
+    def test_aeda_copies_strip_to_source(self):
+        out = apply_policy(
+            SENTENCES, 2, replace(BASELINE_POLICY, n_aug=8), LEX, random.Random(4), op="aeda"
+        )
+        copies = out[len(SENTENCES):]
+        assert len(copies) == 8 * len(SENTENCES)
+        for ex in copies:
+            tokens = tokenize(ex.text)
+            source = tokenize(SENTENCES[ex.source_index][0])
+            assert [t for t in tokens if t not in PUNCTUATION_MARKS] == source
+            assert len(tokens) > len(source)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(["good", "bad", "film", "the", "plot", "!"]), max_size=6),
+            min_size=1,
+            max_size=8,
+        ),
+        op=st.sampled_from(["eda", "aeda"]),
+        p_aug=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        n_aug=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_count_law(self, texts, op, p_aug, n_aug, seed):
+        split = [(" ".join(words), i % 2) for i, words in enumerate(texts)]
+        policy = replace(BASELINE_POLICY, p_aug=p_aug, n_aug=n_aug)
+        out = apply_policy(split, 2, policy, LEX, random.Random(seed), op=op)
+        n = len(split)
+        assert [(ex.text, ex.source_index) for ex in out[:n]] == [
+            (text, i) for i, (text, _) in enumerate(split)
+        ]
+        assert all(ex.provenance == "original" for ex in out[:n])
+        groups = [
+            (src, len(list(g))) for src, g in itertools.groupby(ex.source_index for ex in out[n:])
+        ]
+        sources = [src for src, _ in groups]
+        assert sources == sorted(set(sources))
+        assert all(size == n_aug for _, size in groups)
+        assert len(out) == n + n_aug * len(groups)
+        assert all(tokenize(split[src][0]) for src in sources)
+        if p_aug == 0.0:
+            assert groups == []
+        if p_aug == 1.0:
+            assert sources == [i for i, (text, _) in enumerate(split) if tokenize(text)]
 
 
 class TestPolicySerialization:
