@@ -4,8 +4,11 @@ Features are unigrams and bigrams of the lowercased, whitespace-split
 text, hashed with byte-level FNV-1a 64 masked to 18 bits, so the feature
 map is identical across runs and platforms. Weights start at zero:
 randomness enters training only through shuffling and augmentation.
-Training is plain mini-batch SGD on soft-target cross entropy with early
-stopping on validation accuracy.
+Training minimizes soft-target cross entropy over shuffled batches with
+two step rules: the weights step after every example, so a later example
+in a batch sees the steps of the ones before it, and the bias steps once
+per batch with the batch's summed gradient; both steps are scaled by
+learning_rate / len(batch). Training early-stops on validation accuracy.
 """
 from __future__ import annotations
 
@@ -110,6 +113,39 @@ class EpochStats:
     val_accuracy: float
 
 
+def _compact(
+    texts: list[str], columns: dict[int, int], keys: dict[str, int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each text's featurize() vector as (column ids, counts) in
+    featurize's order, with every bucket renumbered to a dense column.
+    `columns` maps bucket -> column and grows by one for each new bucket;
+    `keys` maps key -> column, so each distinct key is hashed once."""
+    out = []
+    for text in texts:
+        tokens = text.lower().split()
+        feats: dict[int, float] = {}
+        for key in tokens + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]:
+            col = keys.get(key)
+            if col is None:
+                col = keys[key] = columns.setdefault(_bucket(key), len(columns))
+            feats[col] = feats.get(col, 0.0) + 1.0
+        out.append((np.array(list(feats), dtype=np.intp), np.array(list(feats.values()))))
+    return out
+
+
+def _padded(
+    feats: list[tuple[np.ndarray, np.ndarray]], pad: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, counts) rows padded to the longest with column `pad`, count 0."""
+    width = max(len(ids) for ids, _ in feats)
+    ids = np.full((len(feats), width), pad, dtype=np.intp)
+    counts = np.zeros((len(feats), width))
+    for row, (i, c) in enumerate(feats):
+        ids[row, : len(i)] = i
+        counts[row, : len(c)] = c
+    return ids, counts
+
+
 def train(
     train_examples: list[AugmentedExample],
     val: list[tuple[str, int]],
@@ -117,9 +153,17 @@ def train(
     cfg: TrainConfig,
     rng: random.Random,
 ) -> tuple[LinearModel, list[EpochStats]]:
-    """Mini-batch SGD with per-epoch shuffling; early-stops after
+    """SGD with per-epoch shuffling: each batch steps the weights once per
+    example, in batch order, and the bias once with the batch's summed
+    gradient, both by learning_rate / len(batch). Early-stops after
     `patience` epochs without a validation accuracy improvement and
-    returns the best snapshot (ties resolve to the earliest epoch)."""
+    returns the best snapshot (ties resolve to the earliest epoch).
+
+    Training runs on the buckets seen in train+val, renumbered to dense
+    columns; the returned model holds them in its 2^18 buckets and is zero
+    elsewhere. Logits add the bias and then each feature's term in
+    featurize's order, as LinearModel.logits does, so they are the same,
+    bit for bit, as the returned model's."""
     if not train_examples:
         raise DomainError("empty training set")
     if not val:
@@ -130,12 +174,20 @@ def train(
                 f"soft label has {len(ex.soft_label)} classes, expected {n_class}"
             )
 
-    feats = [featurize(ex.text) for ex in train_examples]
-    targets = [np.asarray(ex.soft_label, dtype=float) for ex in train_examples]
-    val_feats = [(featurize(text), y) for text, y in val]
+    columns: dict[int, int] = {}
+    keys: dict[str, int] = {}
+    feats = [
+        (ids, counts[:, None])
+        for ids, counts in _compact([ex.text for ex in train_examples], columns, keys)
+    ]
+    targets = np.array([ex.soft_label for ex in train_examples], dtype=float)
+    val_ids, val_counts = _padded(_compact([text for text, _ in val], columns, keys), len(columns))
+    val_labels = [y for _, y in val]
 
-    model = LinearModel.zeros(n_class)
-    best = model.copy()
+    # the row after the last column stays zero: the validation rows pad with it
+    weights = np.zeros((len(columns) + 1, n_class))
+    bias = np.zeros(n_class)
+    best = (weights, bias)
     best_acc = -1.0
     stale = 0
     history: list[EpochStats] = []
@@ -143,34 +195,46 @@ def train(
     order = list(range(len(train_examples)))
     for epoch in range(1, cfg.max_epochs + 1):
         rng.shuffle(order)
-        loss_sum = 0.0
+        probs_seen = np.empty((len(order), n_class))  # in visiting order
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             scale = cfg.learning_rate / len(batch)
             bias_grad = np.zeros(n_class)
-            for i in batch:
-                probs = softmax(model.logits(feats[i]))
-                loss_sum += soft_cross_entropy(probs, targets[i])
+            for row, i in enumerate(batch, start):
+                ids, counts = feats[i]
+                rows = weights[ids]
+                # cumsum, not a dot product: the terms add one at a time in
+                # featurize's order, as in LinearModel.logits, to the last bit
+                z = np.concatenate((bias[None], rows * counts)).cumsum(axis=0)[-1]
+                probs_seen[row] = probs = softmax(z)
                 g = probs - targets[i]
                 bias_grad += g
-                for idx, count in feats[i].items():
-                    model.weights[:, idx] -= scale * count * g
-            model.bias -= scale * bias_grad
-        mean_loss = loss_sum / len(order)
+                weights[ids] = rows - (scale * counts) * g
+            bias -= scale * bias_grad
+        # summed one example at a time, in visiting order
+        losses = soft_cross_entropy(probs_seen, targets[order])
+        mean_loss = float(losses.cumsum()[-1]) / len(order)
         if not np.isfinite(mean_loss):
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
 
-        val_acc = _accuracy(model, val_feats)
+        terms = weights[val_ids] * val_counts[:, :, None]
+        z = np.concatenate((np.broadcast_to(bias, (len(val), 1, n_class)), terms), axis=1)
+        preds = z.cumsum(axis=1)[:, -1].argmax(axis=1)
+        val_acc = sum(1 for p, y in zip(preds.tolist(), val_labels) if p == y) / len(val)
         history.append(EpochStats(epoch, mean_loss, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
-            best = model.copy()
+            best = (weights.copy(), bias.copy())
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
-    return best, history
+
+    model = LinearModel.zeros(n_class)
+    model.weights[:, list(columns)] = best[0][:-1].T
+    model.bias = best[1]
+    return model, history
 
 
 def predict(model: LinearModel, text: str) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import random
+import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -222,7 +223,8 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Full multi-seed sweep over cfg.methods. Per seed: subsample the
     train split to n_train, carve the validation holdout, run each
     method, score on the test split. A failing (method, seed) cell is
-    recorded and excluded rather than aborting the sweep."""
+    recorded and excluded rather than aborting the sweep; with an output
+    directory, its traceback goes to failure_<method>_seed<seed>.txt."""
     data = _load_experiment_dataset(cfg)
     lex = _load_experiment_lexicon(cfg)
     test_split = data.split("test")
@@ -240,12 +242,11 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
                 acc = run_method(
                     method, tr, val, test_split, data.n_class, lex, cfg, seed, out_dir
                 )
-            except Exception as e:  # degrade, don't abort the sweep
+            except Exception:  # degrade, don't abort the sweep
                 failures[method].append(seed)
                 if out_dir:
                     _atomic_write(
-                        out_dir / f"failure_{method}_seed{seed}.txt",
-                        f"{type(e).__name__}: {e}\n",
+                        out_dir / f"failure_{method}_seed{seed}.txt", traceback.format_exc()
                     )
                 continue
             scores[method].append(acc * 100.0)

@@ -34,13 +34,15 @@ def smooth_label(y: int, n_class: int, epsilon: float) -> np.ndarray:
     return probs
 
 
-def soft_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    """-sum(target * log(pred)), with pred clamped to [1e-12, 1]."""
+def soft_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+    """-sum(target * log(pred)) over the class axis, with pred clamped to
+    [1e-12, 1]: a float for one label, one loss per row for a batch."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise DomainError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return float(-(target * np.log(np.clip(pred, _LOG_FLOOR, 1.0))).sum())
+    loss = -(target * np.log(np.clip(pred, _LOG_FLOOR, 1.0))).sum(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

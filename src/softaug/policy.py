@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import random
 from dataclasses import dataclass, asdict
 
@@ -73,27 +74,38 @@ class AugmentationPolicy:
         return AugmentationPolicy.from_dict(json.loads(s))
 
 
+# inclusive bounds of the bounded fields
+_RANGES = {
+    "p_aug": (0, 1),
+    **dict.fromkeys(("alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd"), (0, 0.5)),
+    "eps_ori": (0, 0.5),
+    "eps_aug": (0, 0.9),
+}
+_MIX = ("p_sr", "p_ri", "p_rs", "p_rd")
+
+
 def validate_policy(p: AugmentationPolicy) -> list[str]:
-    """Every violated invariant, named by field; empty list means valid."""
+    """Every violated invariant, named by field; empty list means valid.
+    A field that is not a real number, NaN included, is a violation, and
+    its other checks are then skipped."""
     violations = []
-    if not 0.0 <= p.p_aug <= 1.0:
-        violations.append(f"p_aug: {p.p_aug} not in [0, 1]")
-    weights = (p.p_sr, p.p_ri, p.p_rs, p.p_rd)
-    for name, w in zip(("p_sr", "p_ri", "p_rs", "p_rd"), weights):
-        if w < 0:
-            violations.append(f"{name}: {w} is negative")
-    if abs(sum(weights) - 1.0) > _SIMPLEX_TOL:
-        violations.append(f"p_sr+p_ri+p_rs+p_rd: sum = {sum(weights)}, expected 1")
-    for name in ("alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd"):
-        a = getattr(p, name)
-        if not 0.0 <= a <= 0.5:
-            violations.append(f"{name}: {a} not in [0, 0.5]")
-    if not (isinstance(p.n_aug, int) and p.n_aug >= 1):
+    num = {}
+    for name in AugmentationPolicy.__dataclass_fields__:
+        value = getattr(p, name)
+        if isinstance(value, numbers.Real) and value == value:  # NaN != NaN
+            num[name] = value
+        else:
+            violations.append(f"{name}: {value!r} is not a number")
+    for name, (lo, hi) in _RANGES.items():
+        if name in num and not lo <= num[name] <= hi:
+            violations.append(f"{name}: {num[name]} not in [{lo}, {hi}]")
+    violations += [f"{name}: {num[name]} is negative" for name in _MIX if num.get(name, 0) < 0]
+    if all(name in num for name in _MIX):
+        total = sum(num[name] for name in _MIX)
+        if abs(total - 1.0) > _SIMPLEX_TOL:
+            violations.append(f"p_sr+p_ri+p_rs+p_rd: sum = {total}, expected 1")
+    if "n_aug" in num and not (isinstance(p.n_aug, int) and p.n_aug >= 1):
         violations.append(f"n_aug: {p.n_aug} must be an integer >= 1")
-    if not 0.0 <= p.eps_ori <= 0.5:
-        violations.append(f"eps_ori: {p.eps_ori} not in [0, 0.5]")
-    if not 0.0 <= p.eps_aug <= 0.9:
-        violations.append(f"eps_aug: {p.eps_aug} not in [0, 0.9]")
     return violations
 
 

@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from softaug import classifier
 from softaug.classifier import (
     LinearModel,
     N_BUCKETS,
@@ -16,7 +19,7 @@ from softaug.classifier import (
     train,
 )
 from softaug.errors import DataError, DomainError
-from softaug.labels import smooth_label
+from softaug.labels import smooth_label, soft_cross_entropy, softmax
 from softaug.policy import AugmentedExample
 
 
@@ -126,6 +129,136 @@ class TestTrain:
             TrainConfig(patience=11, max_epochs=10)
         with pytest.raises(DomainError):
             TrainConfig(learning_rate=0.0)
+
+
+def dense_train(train_examples, val, n_class, cfg, rng):
+    """Reference for `train`: the per-feature loop over the full
+    (n_class, 2^18) model, which `train` must match."""
+    feats = [featurize(ex.text) for ex in train_examples]
+    targets = [np.asarray(ex.soft_label, dtype=float) for ex in train_examples]
+    val_feats = [(featurize(text), y) for text, y in val]
+    model = LinearModel.zeros(n_class)
+    best, best_acc, stale, history = model.copy(), -1.0, 0, []
+    order = list(range(len(train_examples)))
+    for epoch in range(1, cfg.max_epochs + 1):
+        rng.shuffle(order)
+        loss_sum = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            scale = cfg.learning_rate / len(batch)
+            bias_grad = np.zeros(n_class)
+            for i in batch:
+                probs = softmax(model.logits(feats[i]))
+                loss_sum += soft_cross_entropy(probs, targets[i])
+                g = probs - targets[i]
+                bias_grad += g
+                for idx, count in feats[i].items():
+                    model.weights[:, idx] -= scale * count * g
+            model.bias -= scale * bias_grad
+        mean_loss = loss_sum / len(order)
+        correct = sum(1 for f, y in val_feats if int(np.argmax(model.logits(f))) == y)
+        history.append((epoch, mean_loss, correct / len(val_feats)))
+        if history[-1][2] > best_acc:
+            best, best_acc, stale = model.copy(), history[-1][2], 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return best, history
+
+
+def assert_same_training(examples, val, n_class, cfg, seed):
+    model, history = train(examples, val, n_class, cfg, random.Random(seed))
+    ref_model, ref_history = dense_train(examples, val, n_class, cfg, random.Random(seed))
+    assert [(h.epoch, h.val_accuracy) for h in history] == [(e, a) for e, _, a in ref_history]
+    for h, (_, loss, _) in zip(history, ref_history):
+        assert h.train_loss == pytest.approx(loss, rel=1e-9, abs=0.0)
+    for text in [ex.text for ex in examples] + [text for text, _ in val]:
+        assert int(np.argmax(predict(model, text))) == int(np.argmax(predict(ref_model, text)))
+    # the same sums in the same order: equal to the last bit
+    np.testing.assert_array_equal(model.weights, ref_model.weights)
+    np.testing.assert_array_equal(model.bias, ref_model.bias)
+
+
+def golden_fixture():
+    rng = random.Random(20261018)
+    shared = [f"s{i}" for i in range(8)]
+
+    def sentence(c):
+        words = [f"c{c}w{i}" for i in range(6)] + shared
+        return " ".join(rng.choice(words) for _ in range(rng.randint(2, 8)))
+
+    examples = [
+        AugmentedExample(sentence(i % 3), smooth_label(i % 3, 3, 0.1), "original", i)
+        for i in range(30)
+    ]
+    val = [(sentence(i % 3), i % 3) for i in range(12)]
+    return examples, val
+
+
+class TestTrainSemantics:
+    # recorded from the per-feature dense trainer (dense_train above)
+    GOLDEN = [
+        (1, 1.079339996068293, 0.6666666666666666),
+        (2, 0.9578734065856591, 0.6666666666666666),
+        (3, 0.8689008941047559, 0.75),
+        (4, 0.795260982886801, 0.6666666666666666),
+        (5, 0.7380702930776685, 0.6666666666666666),
+        (6, 0.688855570712765, 0.6666666666666666),
+    ]
+    GOLDEN_CFG = TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=12, patience=3)
+
+    def test_golden_epoch_history(self):
+        examples, val = golden_fixture()
+        model, history = train(examples, val, 3, self.GOLDEN_CFG, random.Random(5))
+        assert [(h.epoch, h.val_accuracy) for h in history] == [(e, a) for e, _, a in self.GOLDEN]
+        for h, (_, loss, _) in zip(history, self.GOLDEN):
+            assert h.train_loss == pytest.approx(loss, rel=1e-9, abs=0.0)
+        assert evaluate(model, val) == 0.75
+
+    def test_weights_zero_outside_seen_buckets(self):
+        examples, val = golden_fixture()
+        model, _ = train(examples, val, 3, self.GOLDEN_CFG, random.Random(5))
+        seen = np.zeros(N_BUCKETS, dtype=bool)
+        for text in [ex.text for ex in examples] + [text for text, _ in val]:
+            seen[list(featurize(text))] = True
+        assert not model.weights[:, ~seen].any()
+        assert model.weights[:, seen].any()
+
+    def test_matches_dense_trainer_on_golden_fixture(self):
+        examples, val = golden_fixture()
+        assert_same_training(examples, val, 3, self.GOLDEN_CFG, 5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bucket_collisions_merge_like_featurize(self, monkeypatch, seed):
+        # with 16 buckets most keys collide; a collision must add counts
+        # into one column, exactly as featurize adds them into one bucket
+        monkeypatch.setattr(classifier, "N_BUCKETS", 16)
+        examples, val = golden_fixture()
+        assert_same_training(examples, val, 3, self.GOLDEN_CFG, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_trainer(self, data):
+        n_class = data.draw(st.integers(2, 4))
+        words = st.sampled_from(["a", "B", "c", "dd", "e", "Ff", "g"])
+        text = st.lists(words, max_size=6).map(" ".join)
+        labeled = st.tuples(text, st.integers(0, n_class - 1))
+        train_pairs = data.draw(st.lists(labeled, min_size=1, max_size=12))
+        val = data.draw(st.lists(labeled, min_size=1, max_size=6))
+        eps = data.draw(st.sampled_from([0.0, 0.1, 0.5]))
+        examples = [
+            AugmentedExample(t, smooth_label(y, n_class, eps), "original", i)
+            for i, (t, y) in enumerate(train_pairs)
+        ]
+        max_epochs = data.draw(st.integers(1, 5))
+        cfg = TrainConfig(
+            learning_rate=data.draw(st.sampled_from([0.05, 0.5, 2.0])),
+            batch_size=data.draw(st.integers(1, 5)),
+            max_epochs=max_epochs,
+            patience=data.draw(st.integers(1, max_epochs)),
+        )
+        assert_same_training(examples, val, n_class, cfg, data.draw(st.integers(0, 100)))
 
 
 class TestEvaluate:

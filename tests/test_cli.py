@@ -65,6 +65,16 @@ class TestAugmentCommand:
         ])
         assert code == 2
 
+    def test_non_numeric_policy_field_is_domain_error(self, dataset, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(dict(POLICY.to_dict(), p_aug="x")))
+        code = main([
+            "augment", "--input", str(dataset), "--policy", str(policy),
+            "--seed", "0", "--output", str(tmp_path / "o.jsonl"),
+        ])
+        assert code == 2
+        assert "p_aug: 'x' is not a number" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert main(["augment", "--seed", "1"]) == 1
         assert main(["frobnicate"]) == 1

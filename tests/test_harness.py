@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from softaug import harness
 from softaug.classifier import TrainConfig
 from softaug.datasets import LabeledDataset
-from softaug.errors import DomainError
+from softaug.errors import DomainError, TrainingError
 from softaug.harness import (
     EvalReport,
     ExperimentConfig,
@@ -131,6 +132,38 @@ class TestRunExperiment:
             run_experiment(cfg)
             outputs.append((tmp_path / run / "report.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_failed_cell_writes_traceback(self, tmp_path, monkeypatch):
+        calls = []
+
+        def train_failing_second_call(*args):
+            calls.append(args)
+            if len(calls) == 2:  # seed 0, method eda
+                raise TrainingError("forced failure")
+            return real_train(*args)
+
+        real_train = harness.train
+        monkeypatch.setattr(harness, "train", train_failing_second_call)
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(
+            dataset_path=str(tiny_dataset_file(tmp_path)),
+            methods=("baseline", "eda"),
+            seeds=(0, 1),
+            n_train=20,
+            train=TrainConfig(max_epochs=2, patience=2),
+            output_dir=str(out),
+        )
+        report = run_experiment(cfg)
+        assert report.incomplete
+        assert [c.failed_seeds for c in report.cells] == [(), (0,)]
+        failure = (out / "failure_eda_seed0.txt").read_text()
+        assert failure.startswith("Traceback (most recent call last):")
+        assert "in train_failing_second_call" in failure
+        assert failure.endswith("TrainingError: forced failure\n")
+        # the traceback stays out of the report
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert (out / "report.json").read_text() == expected
+        assert sorted(f.name for f in out.glob("failure_*")) == ["failure_eda_seed0.txt"]
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -64,6 +64,15 @@ class TestSoftCrossEntropy:
         with pytest.raises(DomainError):
             soft_cross_entropy(np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4]))
 
+    @pytest.mark.parametrize("n_class", [2, 5, 11])
+    def test_batch_gives_each_rows_loss(self, n_class):
+        rng = np.random.default_rng(n_class)
+        pred = rng.dirichlet(np.ones(n_class), size=50)
+        target = rng.dirichlet(np.ones(n_class), size=50)
+        losses = soft_cross_entropy(pred, target)
+        assert losses.shape == (50,)
+        assert losses.tolist() == [soft_cross_entropy(p, t) for p, t in zip(pred, target)]
+
     def test_zero_prediction_stays_finite(self):
         assert math.isfinite(soft_cross_entropy(np.array([0.0, 1.0]), np.array([1.0, 0.0])))
 

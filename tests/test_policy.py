@@ -51,6 +51,16 @@ class TestValidatePolicy:
         violations = validate_policy(bad)
         assert len(violations) == 3
 
+    @pytest.mark.parametrize("field", ["p_aug", "p_sr", "alpha_rd", "n_aug", "eps_aug"])
+    @pytest.mark.parametrize("value", ["x", None, [0.5], float("nan")])
+    def test_non_numeric_field_is_a_violation(self, field, value):
+        violations = validate_policy(replace(BASELINE_POLICY, **{field: value}))
+        assert violations == [f"{field}: {value!r} is not a number"]
+
+    def test_non_numeric_field_does_not_hide_other_violations(self):
+        violations = validate_policy(replace(BASELINE_POLICY, p_sr="x", eps_ori=0.7))
+        assert violations == ["p_sr: 'x' is not a number", "eps_ori: 0.7 not in [0, 0.5]"]
+
 
 class TestSamplePolicy:
     def test_all_samples_valid(self):
