@@ -9,6 +9,8 @@ two step rules: the weights step after every example, so a later example
 in a batch sees the steps of the ones before it, and the bias steps once
 per batch with the batch's summed gradient; both steps are scaled by
 learning_rate / len(batch). Training early-stops on validation accuracy.
+Validation, evaluate and predict score text with one routine (_logits),
+which adds the bias and then each feature's term in featurize's order.
 """
 from __future__ import annotations
 
@@ -58,16 +60,18 @@ def _bucket(key: str) -> int:
     return fnv1a64(key.encode("utf-8")) & (N_BUCKETS - 1)
 
 
+def _keys(text: str) -> list[str]:
+    """The lowercased whitespace tokens, then their bigrams joined with '_'."""
+    tokens = text.lower().split()
+    return tokens + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]
+
+
 def featurize(text: str) -> FeatureVector:
     """Unigram + bigram counts hashed into 2^18 buckets. Bigram keys join
     adjacent tokens with '_'. Empty text gives an empty vector."""
-    tokens = text.lower().split()
     feats: FeatureVector = {}
-    for tok in tokens:
-        idx = _bucket(tok)
-        feats[idx] = feats.get(idx, 0.0) + 1.0
-    for a, b in zip(tokens, tokens[1:]):
-        idx = _bucket(f"{a}_{b}")
+    for key in _keys(text):
+        idx = _bucket(key)
         feats[idx] = feats.get(idx, 0.0) + 1.0
     return feats
 
@@ -81,15 +85,6 @@ class LinearModel:
     @staticmethod
     def zeros(n_class: int) -> "LinearModel":
         return LinearModel(np.zeros((n_class, N_BUCKETS)), np.zeros(n_class), n_class)
-
-    def copy(self) -> "LinearModel":
-        return LinearModel(self.weights.copy(), self.bias.copy(), self.n_class)
-
-    def logits(self, feats: FeatureVector) -> np.ndarray:
-        z = self.bias.copy()
-        for idx, count in feats.items():
-            z += self.weights[:, idx] * count
-        return z
 
 
 @dataclass(frozen=True)
@@ -115,35 +110,41 @@ class EpochStats:
 
 def _compact(
     texts: list[str], columns: dict[int, int], keys: dict[str, int]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each text's featurize() vector as (column ids, counts) in
-    featurize's order, with every bucket renumbered to a dense column.
-    `columns` maps bucket -> column and grows by one for each new bucket;
-    `keys` maps key -> column, so each distinct key is hashed once."""
+) -> list[FeatureVector]:
+    """Each text's featurize() vector with every bucket renumbered to a
+    dense column. `columns` maps bucket -> column and grows by one for each
+    new bucket; `keys` maps key -> column, so each distinct key is hashed once."""
     out = []
     for text in texts:
-        tokens = text.lower().split()
-        feats: dict[int, float] = {}
-        for key in tokens + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]:
+        feats: FeatureVector = {}
+        for key in _keys(text):
             col = keys.get(key)
             if col is None:
                 col = keys[key] = columns.setdefault(_bucket(key), len(columns))
             feats[col] = feats.get(col, 0.0) + 1.0
-        out.append((np.array(list(feats), dtype=np.intp), np.array(list(feats.values()))))
+        out.append(feats)
     return out
 
 
-def _padded(
-    feats: list[tuple[np.ndarray, np.ndarray]], pad: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, counts) rows padded to the longest with column `pad`, count 0."""
-    width = max(len(ids) for ids, _ in feats)
-    ids = np.full((len(feats), width), pad, dtype=np.intp)
+def _padded(feats: list[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, counts) rows in each vector's order, padded with id 0 at count 0."""
+    width = max(map(len, feats))
+    ids = np.zeros((len(feats), width), dtype=np.intp)
     counts = np.zeros((len(feats), width))
-    for row, (i, c) in enumerate(feats):
-        ids[row, : len(i)] = i
-        counts[row, : len(c)] = c
+    for row, f in enumerate(feats):
+        ids[row, : len(f)] = list(f)
+        counts[row, : len(f)] = list(f.values())
     return ids, counts
+
+
+def _logits(
+    weights: np.ndarray, bias: np.ndarray, ids: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Logits of _padded rows, `weights` holding one row per id: cumsum, not a
+    dot product, adds the bias and then each term in the row's order."""
+    terms = weights[ids] * counts[:, :, None]
+    z = np.concatenate((np.broadcast_to(bias, (len(ids), 1, len(bias))), terms), axis=1)
+    return z.cumsum(axis=1)[:, -1]
 
 
 def train(
@@ -161,9 +162,8 @@ def train(
 
     Training runs on the buckets seen in train+val, renumbered to dense
     columns; the returned model holds them in its 2^18 buckets and is zero
-    elsewhere. Logits add the bias and then each feature's term in
-    featurize's order, as LinearModel.logits does, so they are the same,
-    bit for bit, as the returned model's."""
+    elsewhere. Logits sum in featurize's order, as in _logits, so they
+    match the returned model's bit for bit."""
     if not train_examples:
         raise DomainError("empty training set")
     if not val:
@@ -177,15 +177,13 @@ def train(
     columns: dict[int, int] = {}
     keys: dict[str, int] = {}
     feats = [
-        (ids, counts[:, None])
-        for ids, counts in _compact([ex.text for ex in train_examples], columns, keys)
+        (np.array(list(f), dtype=np.intp), np.array(list(f.values()))[:, None])
+        for f in _compact([ex.text for ex in train_examples], columns, keys)
     ]
     targets = np.array([ex.soft_label for ex in train_examples], dtype=float)
-    val_ids, val_counts = _padded(_compact([text for text, _ in val], columns, keys), len(columns))
-    val_labels = [y for _, y in val]
+    val_ids, val_counts = _padded(_compact([text for text, _ in val], columns, keys))
 
-    # the row after the last column stays zero: the validation rows pad with it
-    weights = np.zeros((len(columns) + 1, n_class))
+    weights = np.zeros((len(columns), n_class))
     bias = np.zeros(n_class)
     best = (weights, bias)
     best_acc = -1.0
@@ -204,7 +202,7 @@ def train(
                 ids, counts = feats[i]
                 rows = weights[ids]
                 # cumsum, not a dot product: the terms add one at a time in
-                # featurize's order, as in LinearModel.logits, to the last bit
+                # featurize's order, as in _logits, to the last bit
                 z = np.concatenate((bias[None], rows * counts)).cumsum(axis=0)[-1]
                 probs_seen[row] = probs = softmax(z)
                 g = probs - targets[i]
@@ -217,10 +215,8 @@ def train(
         if not np.isfinite(mean_loss):
             raise TrainingError(f"non-finite training loss at epoch {epoch}")
 
-        terms = weights[val_ids] * val_counts[:, :, None]
-        z = np.concatenate((np.broadcast_to(bias, (len(val), 1, n_class)), terms), axis=1)
-        preds = z.cumsum(axis=1)[:, -1].argmax(axis=1)
-        val_acc = sum(1 for p, y in zip(preds.tolist(), val_labels) if p == y) / len(val)
+        preds = _logits(weights, bias, val_ids, val_counts).argmax(axis=1)
+        val_acc = sum(1 for p, (_, y) in zip(preds.tolist(), val) if p == y) / len(val)
         history.append(EpochStats(epoch, mean_loss, val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
@@ -232,21 +228,14 @@ def train(
                 break
 
     model = LinearModel.zeros(n_class)
-    model.weights[:, list(columns)] = best[0][:-1].T
+    model.weights[:, list(columns)] = best[0].T
     model.bias = best[1]
     return model, history
 
 
 def predict(model: LinearModel, text: str) -> np.ndarray:
     """Class probabilities: softmax(weights . featurize(text) + bias)."""
-    return softmax(model.logits(featurize(text)))
-
-
-def _accuracy(model: LinearModel, feat_pairs: list[tuple[FeatureVector, int]]) -> float:
-    correct = sum(
-        1 for feats, y in feat_pairs if int(np.argmax(model.logits(feats))) == y
-    )
-    return correct / len(feat_pairs)
+    return softmax(_logits(model.weights.T, model.bias, *_padded([featurize(text)]))[0])
 
 
 def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
@@ -254,7 +243,9 @@ def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
     Argmax ties break toward the lowest class index."""
     if not data:
         raise DomainError("empty evaluation set")
-    return _accuracy(model, [(featurize(text), y) for text, y in data])
+    ids, counts = _padded([featurize(text) for text, _ in data])
+    preds = _logits(model.weights.T, model.bias, ids, counts).argmax(axis=1)
+    return sum(1 for p, (_, y) in zip(preds.tolist(), data) if p == y) / len(data)
 
 
 _CHECKPOINT_VERSION = 1

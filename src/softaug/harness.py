@@ -21,7 +21,7 @@ from pathlib import Path
 from .classifier import TrainConfig, evaluate, train
 from .datasets import LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
 from .errors import DomainError
-from .policy import AugmentationPolicy, PolicySpace, apply_policy
+from .policy import AugmentationPolicy, PolicySpace, apply_policy, validate_policy
 from .search import _SEED_RANGE, SearchConfig, optimize
 from .textops import SynonymLexicon, load_bundled_lexicon, load_lexicon
 
@@ -51,12 +51,9 @@ class FixedMethodParams:
     def __post_init__(self):
         # every fixed method, baseline included, runs as a policy with these
         # values, so a value outside the policy bounds would fail every cell
-        if not 0.0 <= self.alpha <= 0.5:
-            raise DomainError(f"fixed.alpha: {self.alpha} not in [0, 0.5]")
-        if not (isinstance(self.n_aug, int) and self.n_aug >= 1):
-            raise DomainError(f"fixed.n_aug: {self.n_aug} must be an integer >= 1")
-        if not 0.0 <= self.eps_aug <= 0.9:
-            raise DomainError(f"fixed.eps_aug: {self.eps_aug} not in [0, 0.9]")
+        violations = validate_policy(_fixed_policy("softeda_fixed", self))
+        if violations:
+            raise DomainError("; ".join(f"fixed.{v}" for v in violations))
 
 
 @dataclass
@@ -75,6 +72,8 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.n_train, int) and self.n_train >= 1):
+            raise DomainError(f"n_train: {self.n_train!r} must be an integer >= 1")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise DomainError("seeds must be non-empty and distinct")
         unknown = [m for m in self.methods if m not in METHODS]

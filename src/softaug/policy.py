@@ -126,22 +126,32 @@ class PolicySpace:
     eps_aug: tuple[float, float] = (0.0, 0.75)
 
     def __post_init__(self):
-        for name in ("p_aug", "weight", "alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd",
-                     "eps_ori", "eps_aug"):
+        # every draw must be a valid policy; mix weights are renormalized, so > 0
+        lo, hi = self.weight
+        if not 0 < lo < hi < float("inf"):
+            raise DomainError(f"weight: bounds [{lo}, {hi}] need 0 < lo < hi < inf")
+        for name, (rlo, rhi) in _RANGES.items():
             lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise DomainError(f"degenerate bounds for {name}: [{lo}, {hi}]")
-        if not self.n_aug_choices:
-            raise DomainError("n_aug_choices is empty")
+            if not rlo <= lo < hi <= rhi:
+                raise DomainError(f"{name}: bounds [{lo}, {hi}] need {rlo} <= lo < hi <= {rhi}")
+        choices = self.n_aug_choices
+        if not choices or not all(isinstance(n, int) and n >= 1 for n in choices):
+            raise DomainError(f"n_aug_choices: {list(choices)} need integers >= 1")
 
     @staticmethod
     def from_dict(d: dict) -> "PolicySpace":
+        """A value that is not a [lo, hi] number pair (or a list, for
+        n_aug_choices) raises DomainError."""
         kwargs = {}
         for key, val in d.items():
-            if key == "n_aug_choices":
-                kwargs[key] = tuple(int(v) for v in val)
-            else:
-                kwargs[key] = (float(val[0]), float(val[1]))
+            try:
+                if key == "n_aug_choices":
+                    kwargs[key] = tuple(val)
+                else:
+                    lo, hi = val
+                    kwargs[key] = (float(lo), float(hi))
+            except (TypeError, ValueError) as e:
+                raise DomainError(f"space.{key}: cannot read {val!r} ({e})") from e
         return PolicySpace(**kwargs)
 
 

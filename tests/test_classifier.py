@@ -131,6 +131,19 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
 
 
+def loop_logits(model, feats):
+    """Reference logits: the bias plus each feature's term, one at a time
+    in featurize's order."""
+    z = model.bias.copy()
+    for idx, count in feats.items():
+        z += model.weights[:, idx] * count
+    return z
+
+
+def copy_model(model):
+    return LinearModel(model.weights.copy(), model.bias.copy(), model.n_class)
+
+
 def dense_train(train_examples, val, n_class, cfg, rng):
     """Reference for `train`: the per-feature loop over the full
     (n_class, 2^18) model, which `train` must match."""
@@ -138,7 +151,7 @@ def dense_train(train_examples, val, n_class, cfg, rng):
     targets = [np.asarray(ex.soft_label, dtype=float) for ex in train_examples]
     val_feats = [(featurize(text), y) for text, y in val]
     model = LinearModel.zeros(n_class)
-    best, best_acc, stale, history = model.copy(), -1.0, 0, []
+    best, best_acc, stale, history = copy_model(model), -1.0, 0, []
     order = list(range(len(train_examples)))
     for epoch in range(1, cfg.max_epochs + 1):
         rng.shuffle(order)
@@ -148,7 +161,7 @@ def dense_train(train_examples, val, n_class, cfg, rng):
             scale = cfg.learning_rate / len(batch)
             bias_grad = np.zeros(n_class)
             for i in batch:
-                probs = softmax(model.logits(feats[i]))
+                probs = softmax(loop_logits(model, feats[i]))
                 loss_sum += soft_cross_entropy(probs, targets[i])
                 g = probs - targets[i]
                 bias_grad += g
@@ -156,10 +169,10 @@ def dense_train(train_examples, val, n_class, cfg, rng):
                     model.weights[:, idx] -= scale * count * g
             model.bias -= scale * bias_grad
         mean_loss = loss_sum / len(order)
-        correct = sum(1 for f, y in val_feats if int(np.argmax(model.logits(f))) == y)
+        correct = sum(1 for f, y in val_feats if int(np.argmax(loop_logits(model, f))) == y)
         history.append((epoch, mean_loss, correct / len(val_feats)))
         if history[-1][2] > best_acc:
-            best, best_acc, stale = model.copy(), history[-1][2], 0
+            best, best_acc, stale = copy_model(model), history[-1][2], 0
         else:
             stale += 1
             if stale >= cfg.patience:
@@ -289,6 +302,32 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             evaluate(LinearModel.zeros(2), [])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_feature_logits(self, data):
+        # 16 buckets, so most keys collide; small integer weights, so argmax
+        # ties are common and must break the same way
+        n_class = data.draw(st.integers(2, 4))
+        words = st.sampled_from(["a", "B", "c", "dd", "e", "Ff", "g", "h"])
+        text = st.lists(words, max_size=7).map(" ".join)
+        pairs = data.draw(
+            st.lists(st.tuples(text, st.integers(0, n_class - 1)), min_size=1, max_size=10)
+        )
+        pairs.append(("", data.draw(st.integers(0, n_class - 1))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            draw = lambda size: rng.integers(-2, 3, size=size).astype(float)
+        else:
+            draw = lambda size: rng.normal(scale=3.0, size=size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifier, "N_BUCKETS", 16)
+            model = LinearModel(draw((n_class, 16)), draw(n_class), n_class)
+            ref = [loop_logits(model, featurize(t)) for t, _ in pairs]
+            recount = sum(int(np.argmax(z)) == y for z, (_, y) in zip(ref, pairs))
+            assert evaluate(model, pairs) == recount / len(pairs)
+            for z, (t, _) in zip(ref, pairs):
+                assert predict(model, t).tobytes() == softmax(z).tobytes()
 
 
 class TestCheckpoint:

@@ -176,3 +176,21 @@ class TestCompareCommand:
         path = tmp_path / "bad.json"
         path.write_text("not json")
         assert main(["compare", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"space": {"p_aug": ["x", 1]}}, "p_aug"),
+            ({"space": {"p_aug": [1]}}, "p_aug"),
+            ({"space": {"n_aug_choices": ["a"]}}, "n_aug_choices"),
+            ({"n_train": "x"}, "n_train"),
+            ({"space": {"eps_aug": [0.8, 0.95]}}, "eps_aug"),
+            ({"space": {"n_aug_choices": [0]}}, "n_aug_choices"),
+        ],
+    )
+    def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"methods": ["ours"], "seeds": [0], **config}))
+        assert main(["compare", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err

@@ -170,6 +170,9 @@ class TestRunExperiment:
             ExperimentConfig(seeds=())
         with pytest.raises(DomainError):
             ExperimentConfig(methods=("nope",))
+        for n_train in ("x", 0, 2.5, None):
+            with pytest.raises(DomainError, match="n_train"):
+                ExperimentConfig(n_train=n_train)
 
     @pytest.mark.parametrize(
         "params, field_name",

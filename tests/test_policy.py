@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from softaug.augment import PUNCTUATION_MARKS
 from softaug.errors import DomainError
 from softaug.policy import (
+    _RANGES,
     AugmentationPolicy,
     PolicySpace,
     apply_policy,
@@ -89,6 +90,54 @@ class TestSamplePolicy:
             PolicySpace(p_aug=(0.5, 0.5))
         with pytest.raises(DomainError):
             PolicySpace(n_aug_choices=())
+
+
+class TestPolicySpaceBounds:
+    @pytest.mark.parametrize("name", sorted(_RANGES))
+    def test_bounds_within_policy_ranges(self, name):
+        lo, hi = _RANGES[name]
+        PolicySpace(**{name: (lo, hi)})  # the full range is a valid space
+        for bounds in [(lo - 0.01, hi), (lo, hi + 0.01), (hi, lo)]:
+            with pytest.raises(DomainError, match=name):
+                PolicySpace(**{name: bounds})
+
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 1.0), (0.5, 0.2), (0.1, float("inf"))])
+    def test_weight_bounds_positive_and_finite(self, bounds):
+        # a lower bound of 0 lets all four clamped weights be 0, and
+        # renormalizing them divides by zero
+        with pytest.raises(DomainError, match="weight"):
+            PolicySpace(weight=bounds)
+
+    @pytest.mark.parametrize("choices", [(0,), (1, -2), (2.5,), ("a",), (1, None)])
+    def test_n_aug_choices_positive_integers(self, choices):
+        with pytest.raises(DomainError, match="n_aug_choices"):
+            PolicySpace(n_aug_choices=choices)
+
+    def test_every_draw_valid_at_the_range_limits(self):
+        space = PolicySpace(**_RANGES, weight=(1e-9, 2.0), n_aug_choices=(1, 16))
+        rng = random.Random(3)
+        for _ in range(2000):
+            assert validate_policy(sample_policy(space, rng)) == []
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"p_aug": ["x", 1]},
+            {"p_aug": [1]},
+            {"p_aug": [0.1, 0.5, 0.9]},
+            {"p_aug": 0.5},
+            {"eps_aug": None},
+            {"n_aug_choices": ["a"]},
+            {"n_aug_choices": 4},
+        ],
+    )
+    def test_from_dict_rejects_malformed(self, d):
+        with pytest.raises(DomainError, match=next(iter(d))):
+            PolicySpace.from_dict(d)
+
+    def test_from_dict_reads_lists(self):
+        space = PolicySpace.from_dict({"p_aug": [0, 1], "n_aug_choices": [1, 3]})
+        assert space.p_aug == (0.0, 1.0) and space.n_aug_choices == (1, 3)
 
 
 class TestApplyPolicy:
