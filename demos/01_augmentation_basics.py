@@ -6,7 +6,7 @@ run of this script prints the same outputs.
 import random
 
 from softaug import (
-    EdaParams,
+    AugmentationPolicy,
     aeda,
     detokenize,
     eda,
@@ -40,10 +40,15 @@ print("random swap:       ", detokenize(random_swap(tokens, 0.2, rng)))
 rng = random.Random(0)
 print("random deletion:   ", detokenize(random_deletion(tokens, 0.2, rng)))
 
-# The dispatcher picks one of the four according to a probability vector.
-params = EdaParams(0.3, 0.2, 0.2, 0.2, (0.25, 0.25, 0.25, 0.25))
+# The dispatcher picks one of the four from a policy's mix (p_sr .. p_rd)
+# and applies it with that operation's magnitude (alpha_sr .. alpha_rd).
+policy = AugmentationPolicy(
+    p_aug=1.0, p_sr=0.25, p_ri=0.25, p_rs=0.25, p_rd=0.25,
+    alpha_sr=0.3, alpha_ri=0.2, alpha_rs=0.2, alpha_rd=0.2,
+    n_aug=1, eps_ori=0.0, eps_aug=0.0,
+)
 for seed in range(3):
-    out = eda(tokens, params, lex, random.Random(seed))
+    out = eda(tokens, policy, lex, random.Random(seed))
     print(f"eda (seed {seed}):      ", detokenize(out))
 
 # AEDA only inserts punctuation marks; stripping them recovers the input.

@@ -4,6 +4,7 @@ Shows label smoothing, the soft-target loss, and what applying a policy
 to a small labeled split produces.
 """
 import random
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,8 +15,8 @@ from softaug import (
     sample_policy,
     smooth_label,
     soft_cross_entropy,
-    validate_policy,
 )
+from softaug.errors import DomainError
 from softaug.policy import PolicySpace
 
 # Label smoothing: (1 - eps) on the true class plus eps/n spread uniformly.
@@ -34,7 +35,12 @@ policy = AugmentationPolicy(
     alpha_sr=0.2, alpha_ri=0.1, alpha_rs=0.1, alpha_rd=0.1,
     n_aug=2, eps_ori=0.05, eps_aug=0.25,
 )
-assert validate_policy(policy) == []
+
+# A policy checks itself when it is built: here the mix no longer sums to 1.
+try:
+    replace(policy, p_sr=0.9)
+except DomainError as e:
+    print("rejected:", e)
 
 data = [
     ("the movie was great and wonderful", 1),

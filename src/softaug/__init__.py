@@ -5,7 +5,7 @@ TPE-based policy optimizer, and a hashed n-gram linear classifier for
 low-resource text classification experiments.
 """
 
-from .augment import EdaParams, SubOpKind, aeda, eda, random_deletion, random_insertion, random_swap, synonym_replacement
+from .augment import aeda, eda, random_deletion, random_insertion, random_swap, synonym_replacement
 from .classifier import LinearModel, TrainConfig, evaluate, featurize, predict, train
 from .datasets import LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
 from .harness import ExperimentConfig, EvalReport, render_report, run_experiment, run_method

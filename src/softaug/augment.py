@@ -2,22 +2,24 @@
 
 All operations are pure functions of (input tokens, parameters, rng):
 the caller owns the random stream, and identical seeds give identical
-outputs. Magnitudes follow the n = max(1, round(alpha * L)) convention
-with round-half-up ties.
+outputs. The dispatcher `eda` reads its mix and magnitudes from a
+`policy.AugmentationPolicy`, which checks them when it is built.
+Magnitudes follow the n = max(1, round(alpha * L)) convention with
+round-half-up ties.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .textops import SynonymLexicon, is_stopword
 
+if TYPE_CHECKING:  # policy imports this module
+    from .policy import AugmentationPolicy
+
 __all__ = [
-    "SubOpKind",
-    "EdaParams",
     "PUNCTUATION_MARKS",
     "synonym_replacement",
     "random_insertion",
@@ -28,36 +30,6 @@ __all__ = [
 ]
 
 PUNCTUATION_MARKS = (".", ";", "?", ":", "!", ",")
-
-
-class SubOpKind(Enum):
-    SR = "sr"
-    RI = "ri"
-    RS = "rs"
-    RD = "rd"
-
-
-@dataclass(frozen=True)
-class EdaParams:
-    alpha_sr: float
-    alpha_ri: float
-    alpha_rs: float
-    alpha_rd: float
-    p_eda: tuple[float, float, float, float]  # selection probs for SR, RI, RS, RD
-
-    def __post_init__(self):
-        for name in ("alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd"):
-            a = getattr(self, name)
-            if not 0.0 <= a <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1], got {a}")
-        if len(self.p_eda) != 4 or any(p < 0 for p in self.p_eda):
-            raise DomainError("p_eda must be 4 non-negative components")
-        if abs(sum(self.p_eda) - 1.0) > 1e-9:
-            raise DomainError(f"p_eda must sum to 1, got {sum(self.p_eda)}")
-
-    @staticmethod
-    def uniform(alpha: float = 0.1) -> "EdaParams":
-        return EdaParams(alpha, alpha, alpha, alpha, (0.25, 0.25, 0.25, 0.25))
 
 
 def _require_nonempty(seq: list[str]):
@@ -137,33 +109,26 @@ def random_deletion(seq: list[str], alpha: float, rng: random.Random) -> list[st
 
 
 def eda(
-    seq: list[str], params: EdaParams, lex: SynonymLexicon, rng: random.Random
+    seq: list[str], policy: AugmentationPolicy, lex: SynonymLexicon, rng: random.Random
 ) -> list[str]:
-    """Sample one suboperation from p_eda and apply it with its magnitude.
+    """Pick one suboperation from the policy's mix (p_sr, p_ri, p_rs, p_rd)
+    and apply it with its magnitude (alpha_sr .. alpha_rd).
 
-    The selection consumes exactly one rng draw, so a one-hot p_eda is
-    equivalent to calling the suboperation after that single draw.
+    The pick (`random.Random.choices`) consumes exactly one rng draw, so
+    a one-hot mix is equivalent to calling the suboperation after that
+    single draw. The policy checked its mix and magnitudes when it was
+    built, so eda does not check them again.
     """
     _require_nonempty(seq)
-    kind = _sample_subop(params.p_eda, rng)
-    if kind is SubOpKind.SR:
-        return synonym_replacement(seq, params.alpha_sr, lex, rng)
-    if kind is SubOpKind.RI:
-        return random_insertion(seq, params.alpha_ri, lex, rng)
-    if kind is SubOpKind.RS:
-        return random_swap(seq, params.alpha_rs, rng)
-    return random_deletion(seq, params.alpha_rd, rng)
-
-
-def _sample_subop(p_eda: tuple[float, ...], rng: random.Random) -> SubOpKind:
-    r = rng.random()
-    cum = 0.0
-    kinds = list(SubOpKind)
-    for kind, p in zip(kinds, p_eda):
-        cum += p
-        if r < cum:
-            return kind
-    return kinds[-1]  # guard against rounding at r ~ 1
+    p = policy
+    kind = rng.choices(("sr", "ri", "rs", "rd"), (p.p_sr, p.p_ri, p.p_rs, p.p_rd))[0]
+    if kind == "sr":
+        return synonym_replacement(seq, p.alpha_sr, lex, rng)
+    if kind == "ri":
+        return random_insertion(seq, p.alpha_ri, lex, rng)
+    if kind == "rs":
+        return random_swap(seq, p.alpha_rs, rng)
+    return random_deletion(seq, p.alpha_rd, rng)
 
 
 def aeda(seq: list[str], rng: random.Random) -> list[str]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import random
 import traceback
@@ -21,7 +22,7 @@ from pathlib import Path
 from .classifier import TrainConfig, evaluate, train
 from .datasets import LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
 from .errors import DomainError
-from .policy import AugmentationPolicy, PolicySpace, apply_policy, validate_policy
+from .policy import AugmentationPolicy, PolicySpace, apply_policy
 from .search import _SEED_RANGE, SearchConfig, optimize
 from .textops import SynonymLexicon, load_bundled_lexicon, load_lexicon
 
@@ -51,9 +52,10 @@ class FixedMethodParams:
     def __post_init__(self):
         # every fixed method, baseline included, runs as a policy with these
         # values, so a value outside the policy bounds would fail every cell
-        violations = validate_policy(_fixed_policy("softeda_fixed", self))
-        if violations:
-            raise DomainError("; ".join(f"fixed.{v}" for v in violations))
+        try:
+            _fixed_policy("softeda_fixed", self)
+        except DomainError as e:
+            raise DomainError("; ".join(f"fixed.{v}" for v in e.violations)) from None
 
 
 @dataclass
@@ -74,8 +76,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (isinstance(self.n_train, int) and self.n_train >= 1):
             raise DomainError(f"n_train: {self.n_train!r} must be an integer >= 1")
+        if not all(isinstance(s, int) for s in self.seeds):
+            raise DomainError(f"seeds: {list(self.seeds)} must be integers")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise DomainError("seeds must be non-empty and distinct")
+        if not (isinstance(self.val_fraction, numbers.Real) and 0 < self.val_fraction < 1):
+            raise DomainError(f"val_fraction: {self.val_fraction!r} must be a number in (0, 1)")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise DomainError(f"unknown methods: {unknown}")
@@ -86,10 +92,13 @@ class ExperimentConfig:
         if "fixed" in kwargs:
             kwargs["fixed"] = FixedMethodParams(**kwargs["fixed"])
         if "search" in kwargs:
-            search = dict(kwargs["search"])
-            if "train" in search:
-                search["train"] = TrainConfig(**search["train"])
-            kwargs["search"] = SearchConfig(**search)
+            overridden = [k for k in ("seed", "fix_smoothing_to_zero", "train") if k in kwargs["search"]]
+            if overridden:
+                raise DomainError(
+                    f"search.{overridden[0]}: the harness sets the search seed and smoothing "
+                    'per (method, seed), and training comes from the top-level "train"'
+                )
+            kwargs["search"] = SearchConfig(**kwargs["search"])
         if "space" in kwargs:
             kwargs["space"] = PolicySpace.from_dict(kwargs["space"])
         if "train" in kwargs:

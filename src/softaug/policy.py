@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .augment import EdaParams, aeda, eda
+from .augment import aeda, eda
 from .errors import DomainError
 from .labels import smooth_label
 from .textops import SynonymLexicon, detokenize, tokenize
@@ -50,14 +50,14 @@ class AugmentationPolicy:
     eps_ori: float
     eps_aug: float
 
-    def eda_params(self) -> EdaParams:
-        return EdaParams(
-            self.alpha_sr,
-            self.alpha_ri,
-            self.alpha_rs,
-            self.alpha_rd,
-            (self.p_sr, self.p_ri, self.p_rs, self.p_rd),
-        )
+    def __post_init__(self):
+        # the one check of the invariants: every construction path
+        # (from_dict, sample_policy, dataclasses.replace, ...) comes here
+        violations = validate_policy(self)
+        if violations:
+            error = DomainError("invalid policy: " + "; ".join(violations))
+            error.violations = violations
+            raise error
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -87,7 +87,8 @@ _MIX = ("p_sr", "p_ri", "p_rs", "p_rd")
 def validate_policy(p: AugmentationPolicy) -> list[str]:
     """Every violated invariant, named by field; empty list means valid.
     A field that is not a real number, NaN included, is a violation, and
-    its other checks are then skipped."""
+    its other checks are then skipped. AugmentationPolicy raises these on
+    construction, so a policy that exists is valid."""
     violations = []
     num = {}
     for name in AugmentationPolicy.__dataclass_fields__:
@@ -141,7 +142,9 @@ class PolicySpace:
     @staticmethod
     def from_dict(d: dict) -> "PolicySpace":
         """A value that is not a [lo, hi] number pair (or a list, for
-        n_aug_choices) raises DomainError."""
+        n_aug_choices) raises DomainError, as does a `d` that is not a dict."""
+        if not isinstance(d, dict):
+            raise DomainError(f"space: {d!r} is not an object of per-field bounds")
         kwargs = {}
         for key, val in d.items():
             try:
@@ -176,7 +179,8 @@ def sample_policy(space: PolicySpace, rng: random.Random) -> AugmentationPolicy:
 
 
 def _renormalize(weights: list[float]) -> list[float]:
-    # push the float residue onto the largest component so the sum is exact
+    # push the float residue onto the largest component; the sum is then 1
+    # or one rounding step off it
     total = sum(weights)
     probs = [w / total for w in weights]
     probs[probs.index(max(probs))] += 1.0 - sum(probs)
@@ -217,15 +221,11 @@ def apply_policy(
         raise DomainError("empty dataset")
     if op not in ("eda", "aeda"):
         raise DomainError(f"unknown augmentation op {op!r}")
-    violations = validate_policy(policy)
-    if violations:
-        raise DomainError("invalid policy: " + "; ".join(violations))
 
     out = [
         AugmentedExample(text, smooth_label(y, n_class, policy.eps_ori), "original", i)
         for i, (text, y) in enumerate(split)
     ]
-    params = policy.eda_params()
     for i, (text, y) in enumerate(split):
         if not policy.p_aug or rng.random() >= policy.p_aug:
             continue
@@ -234,7 +234,7 @@ def apply_policy(
             logger.warning("example %d tokenizes to empty; skipping its augmentation", i)
             continue
         for _ in range(policy.n_aug):
-            aug_tokens = eda(tokens, params, lex, rng) if op == "eda" else aeda(tokens, rng)
+            aug_tokens = eda(tokens, policy, lex, rng) if op == "eda" else aeda(tokens, rng)
             out.append(
                 AugmentedExample(
                     detokenize(aug_tokens),

@@ -134,9 +134,9 @@ def _kde_logpdf(x: float, points: list[float], bw: float) -> float:
     return math.log(max(total / len(points), 1e-300))
 
 
-def _cat_logprob(value, values: list, choices: tuple) -> float:
-    count = sum(1 for v in values if v == value)
-    return math.log((count + 1) / (len(values) + len(choices)))
+def _cat_freq(value, values: list, choices: tuple) -> float:
+    """Add-one-smoothed frequency of `value` among `values`."""
+    return (sum(1 for v in values if v == value) + 1) / (len(values) + len(choices))
 
 
 def suggest(
@@ -163,10 +163,7 @@ def suggest(
         bw = [_silverman_bandwidth([v[d] for v in everything], *bounds[d]) for d in range(11)]
         good_cats = [v[-1] for v in good]
         bad_cats = [v[-1] for v in bad]
-        cat_probs = [
-            (sum(1 for v in good_cats if v == c) + 1) / (len(good_cats) + len(space.n_aug_choices))
-            for c in space.n_aug_choices
-        ]
+        cat_probs = [_cat_freq(c, good_cats, space.n_aug_choices) for c in space.n_aug_choices]
 
         best_vec, best_ratio = None, -math.inf
         for _ in range(cfg.n_candidates):
@@ -175,28 +172,18 @@ def suggest(
                 lo, hi = bounds[d]
                 center = good[rng.randrange(len(good))][d]
                 vec.append(min(max(rng.gauss(center, bw[d]), lo), hi))
-            vec.append(_sample_categorical(space.n_aug_choices, cat_probs, rng))
+            vec.append(rng.choices(space.n_aug_choices, cat_probs)[0])
 
             ratio = 0.0
             for d in range(11):
                 ratio += _kde_logpdf(vec[d], [v[d] for v in good], bw[d])
                 ratio -= _kde_logpdf(vec[d], [v[d] for v in bad], bw[d])
-            ratio += _cat_logprob(vec[-1], good_cats, space.n_aug_choices)
-            ratio -= _cat_logprob(vec[-1], bad_cats, space.n_aug_choices)
+            ratio += math.log(_cat_freq(vec[-1], good_cats, space.n_aug_choices))
+            ratio -= math.log(_cat_freq(vec[-1], bad_cats, space.n_aug_choices))
             if ratio > best_ratio:
                 best_vec, best_ratio = tuple(vec), ratio
         policy = _vector_to_policy(best_vec, space)
     return _clamp_smoothing(policy) if cfg.fix_smoothing_to_zero else policy
-
-
-def _sample_categorical(choices: tuple, probs: list[float], rng: random.Random):
-    r = rng.random() * sum(probs)
-    cum = 0.0
-    for c, p in zip(choices, probs):
-        cum += p
-        if r < cum:
-            return c
-    return choices[-1]
 
 
 def _clamp_smoothing(p: AugmentationPolicy) -> AugmentationPolicy:

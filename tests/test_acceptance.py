@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from softaug.augment import (
-    EdaParams,
     PUNCTUATION_MARKS,
     aeda,
     eda,
@@ -69,7 +68,11 @@ def test_criterion_02_augmentation_invariants():
         )
     )
     marks = set(PUNCTUATION_MARKS)
-    params = EdaParams(0.2, 0.2, 0.2, 0.2, (0.25, 0.25, 0.25, 0.25))
+    params = AugmentationPolicy(
+        p_aug=1.0, p_sr=0.25, p_ri=0.25, p_rs=0.25, p_rd=0.25,
+        alpha_sr=0.2, alpha_ri=0.2, alpha_rs=0.2, alpha_rd=0.2,
+        n_aug=1, eps_ori=0.0, eps_aug=0.0,
+    )
     start = time.perf_counter()
     meta = random.Random(271828)
     failures = 0
@@ -120,7 +123,11 @@ def test_criterion_03_uniform_dispatch_frequencies():
         )
     )
     syn_tokens = {s for i in range(10) for s in (f"syn{i}a", f"syn{i}b")}
-    params = EdaParams(0.05, 0.05, 0.05, 0.0, (0.25, 0.25, 0.25, 0.25))
+    params = AugmentationPolicy(
+        p_aug=1.0, p_sr=0.25, p_ri=0.25, p_rs=0.25, p_rd=0.25,
+        alpha_sr=0.05, alpha_ri=0.05, alpha_rs=0.05, alpha_rd=0.0,
+        n_aug=1, eps_ori=0.0, eps_aug=0.0,
+    )
     start = time.perf_counter()
     counts = Counter()
     rng = random.Random(42)

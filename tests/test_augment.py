@@ -1,12 +1,12 @@
 import io
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from softaug.augment import (
-    EdaParams,
     PUNCTUATION_MARKS,
     aeda,
     eda,
@@ -16,7 +16,8 @@ from softaug.augment import (
     synonym_replacement,
 )
 from softaug.errors import DomainError
-from softaug.textops import load_lexicon
+from softaug.policy import AugmentationPolicy, PolicySpace, sample_policy
+from softaug.textops import SynonymLexicon, detokenize, load_lexicon, tokenize
 
 
 def make_lex(entries: dict[str, list[str]]):
@@ -134,12 +135,23 @@ class TestRandomDeletion:
         assert all(tok in it for tok in out)  # relative order preserved
 
 
-UNIFORM = EdaParams.uniform(0.1)
+def eda_policy(alpha_sr, alpha_ri, alpha_rs, alpha_rd, mix):
+    """A policy whose only fields eda reads are the mix and the magnitudes."""
+    p_sr, p_ri, p_rs, p_rd = mix
+    return AugmentationPolicy(
+        p_aug=1.0, p_sr=p_sr, p_ri=p_ri, p_rs=p_rs, p_rd=p_rd,
+        alpha_sr=alpha_sr, alpha_ri=alpha_ri, alpha_rs=alpha_rs, alpha_rd=alpha_rd,
+        n_aug=1, eps_ori=0.0, eps_aug=0.0,
+    )
+
+
+UNIFORM = eda_policy(0.1, 0.1, 0.1, 0.1, (0.25, 0.25, 0.25, 0.25))
+SUBOPS = ("sr", "ri", "rs", "rd")
 
 
 class TestEda:
     def test_one_hot_sr_matches_suboperation(self):
-        params = EdaParams(0.1, 0.1, 0.1, 0.1, (1.0, 0.0, 0.0, 0.0))
+        params = eda_policy(0.1, 0.1, 0.1, 0.1, (1.0, 0.0, 0.0, 0.0))
         for seed in range(10):
             got = eda(RICH_TOKENS, params, RICH_LEX, random.Random(seed))
             mirror = random.Random(seed)
@@ -147,13 +159,13 @@ class TestEda:
             assert got == synonym_replacement(RICH_TOKENS, 0.1, RICH_LEX, mirror)
 
     def test_one_hot_rs_two_tokens(self):
-        params = EdaParams(0.1, 0.1, 0.1, 0.1, (0.0, 0.0, 1.0, 0.0))
+        params = eda_policy(0.1, 0.1, 0.1, 0.1, (0.0, 0.0, 1.0, 0.0))
         assert eda(["a", "b"], params, RICH_LEX, random.Random(0)) == ["b", "a"]
 
     def test_uniform_dispatch_frequencies(self):
         # signature per suboperation: RI grows, RD (alpha 0) is identity,
         # SR introduces a synonym token, RS permutes
-        params = EdaParams(0.05, 0.05, 0.05, 0.0, (0.25, 0.25, 0.25, 0.25))
+        params = eda_policy(0.05, 0.05, 0.05, 0.0, (0.25, 0.25, 0.25, 0.25))
         syn_tokens = {s for i in range(10) for s in (f"syn{i}a", f"syn{i}b")}
         counts = Counter()
         rng = random.Random(42)
@@ -172,15 +184,28 @@ class TestEda:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
-            EdaParams(0.1, 0.1, 0.1, 0.1, (0.5, 0.5, 0.5, 0.5))
+            eda_policy(0.1, 0.1, 0.1, 0.1, (0.5, 0.5, 0.5, 0.5))
         with pytest.raises(DomainError):
-            EdaParams(1.5, 0.1, 0.1, 0.1, (0.25, 0.25, 0.25, 0.25))
+            eda_policy(1.5, 0.1, 0.1, 0.1, (0.25, 0.25, 0.25, 0.25))
 
     @given(token_lists, st.integers(0, 2**31))
     def test_deterministic_under_seed(self, seq, seed):
         a = eda(seq, UNIFORM, RICH_LEX, random.Random(seed))
         b = eda(seq, UNIFORM, RICH_LEX, random.Random(seed))
         assert a == b
+
+    @given(token_lists, st.integers(0, 2**31), st.integers(0, 3), st.integers(0, 2**31))
+    def test_one_hot_sampled_policy_matches_suboperation(self, seq, policy_seed, k, seed):
+        drawn = sample_policy(PolicySpace(), random.Random(policy_seed))
+        policy = replace(drawn, **{f"p_{op}": float(i == k) for i, op in enumerate(SUBOPS)})
+        mirror = random.Random(seed)
+        mirror.random()  # the dispatcher's single selection draw
+        alpha = getattr(policy, f"alpha_{SUBOPS[k]}")
+        if k < 2:
+            expected = (synonym_replacement, random_insertion)[k](seq, alpha, RICH_LEX, mirror)
+        else:
+            expected = (random_swap, random_deletion)[k - 2](seq, alpha, mirror)
+        assert eda(seq, policy, RICH_LEX, random.Random(seed)) == expected
 
 
 class TestAeda:
@@ -208,3 +233,40 @@ class TestAeda:
     def test_empty_raises(self):
         with pytest.raises(DomainError):
             aeda([], random.Random(0))
+
+
+# any unicode word that tokenize keeps whole: non-empty, no whitespace
+unicode_words = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6
+).filter(lambda w: tokenize(w) == [w])
+
+
+class TestUnicodeTokens:
+    """The augment invariants hold on arbitrary unicode words, with a
+    lexicon that gives every other word a unicode synonym."""
+
+    @given(st.lists(unicode_words, min_size=1, max_size=12), unicode_words,
+           st.floats(0, 0.5), st.integers(0, 2**31))
+    def test_invariants(self, seq, syn, alpha, seed):
+        lex = SynonymLexicon({w.lower(): (syn + "~",) for w in seq[::2]})
+        rng = random.Random(seed)
+        sr = synonym_replacement(seq, alpha, lex, rng)
+        assert len(sr) == len(seq)
+        ri = random_insertion(seq, alpha, lex, rng)
+        assert len(ri) >= len(seq) and not Counter(seq) - Counter(ri)
+        rs = random_swap(seq, alpha, rng)
+        assert Counter(rs) == Counter(seq)
+        rd = random_deletion(seq, alpha, rng)
+        it = iter(seq)
+        assert rd and all(tok in it for tok in rd)
+        ae = aeda(seq, rng)
+        it = iter(ae)
+        assert all(tok in it for tok in seq)  # the input survives in order
+        inserted = Counter(ae) - Counter(seq)
+        assert set(inserted) <= set(PUNCTUATION_MARKS)
+        assert 1 <= inserted.total() == len(ae) - len(seq) <= max(1, len(seq) // 3)
+        ed = eda(seq, UNIFORM, lex, random.Random(seed))
+        assert ed == eda(seq, UNIFORM, lex, random.Random(seed))
+        # every output survives the detokenize -> tokenize round trip
+        for out in (sr, ri, rs, rd, ae, ed):
+            assert tokenize(detokenize(out)) == out

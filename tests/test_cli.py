@@ -186,6 +186,10 @@ class TestCompareCommand:
             ({"n_train": "x"}, "n_train"),
             ({"space": {"eps_aug": [0.8, 0.95]}}, "eps_aug"),
             ({"space": {"n_aug_choices": [0]}}, "n_aug_choices"),
+            ({"space": 5}, "space"),
+            ({"space": [1]}, "space"),
+            ({"val_fraction": "x"}, "val_fraction"),
+            ({"seeds": ["a"]}, "seeds"),
         ],
     )
     def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):
@@ -194,3 +198,16 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "search",
+        [{"seed": 999}, {"fix_smoothing_to_zero": True}, {"train": {"learning_rate": 5.0, "max_epochs": 1}}],
+    )
+    def test_search_keys_set_by_the_harness_rejected(self, tmp_path, capsys, search):
+        # run_method sets these per (method, seed), so a config value would be ignored
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"methods": ["ours"], "seeds": [0], "search": search}))
+        assert main(["compare", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: search.{next(iter(search))}: ")
+        assert 'top-level "train"' in err and "Traceback" not in err

@@ -173,6 +173,12 @@ class TestRunExperiment:
         for n_train in ("x", 0, 2.5, None):
             with pytest.raises(DomainError, match="n_train"):
                 ExperimentConfig(n_train=n_train)
+        for seeds in (("a",), (0, 1.5), (None,)):
+            with pytest.raises(DomainError, match="seeds"):
+                ExperimentConfig(seeds=seeds)
+        for val_fraction in ("x", None, 0, 1, 1.5, float("nan")):
+            with pytest.raises(DomainError, match="val_fraction"):
+                ExperimentConfig(val_fraction=val_fraction)
 
     @pytest.mark.parametrize(
         "params, field_name",

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -34,33 +35,47 @@ SENTENCES = [
 ]
 
 
+def violations(**changes) -> list[str]:
+    """The violations that building BASELINE_POLICY with `changes` raises."""
+    with pytest.raises(DomainError) as e:
+        replace(BASELINE_POLICY, **changes)
+    assert str(e.value) == "invalid policy: " + "; ".join(e.value.violations)
+    return e.value.violations
+
+
 class TestValidatePolicy:
     def test_equal_probability_baseline_ok(self):
         assert validate_policy(BASELINE_POLICY) == []
 
     def test_simplex_violation(self):
-        bad = replace(BASELINE_POLICY, p_sr=0.5, p_ri=0.5, p_rs=0.5, p_rd=0.5)
-        violations = validate_policy(bad)
-        assert any("sum = 2" in v for v in violations)
+        assert any("sum = 2" in v for v in violations(p_sr=0.5, p_ri=0.5, p_rs=0.5, p_rd=0.5))
 
     def test_n_aug_boundary(self):
-        violations = validate_policy(replace(BASELINE_POLICY, n_aug=0))
-        assert any("n_aug" in v for v in violations)
+        assert any("n_aug" in v for v in violations(n_aug=0))
 
     def test_multiple_violations_all_reported(self):
-        bad = replace(BASELINE_POLICY, p_aug=1.5, alpha_sr=0.9, eps_aug=0.95)
-        violations = validate_policy(bad)
-        assert len(violations) == 3
+        assert len(violations(p_aug=1.5, alpha_sr=0.9, eps_aug=0.95)) == 3
 
     @pytest.mark.parametrize("field", ["p_aug", "p_sr", "alpha_rd", "n_aug", "eps_aug"])
     @pytest.mark.parametrize("value", ["x", None, [0.5], float("nan")])
     def test_non_numeric_field_is_a_violation(self, field, value):
-        violations = validate_policy(replace(BASELINE_POLICY, **{field: value}))
-        assert violations == [f"{field}: {value!r} is not a number"]
+        assert violations(**{field: value}) == [f"{field}: {value!r} is not a number"]
 
     def test_non_numeric_field_does_not_hide_other_violations(self):
-        violations = validate_policy(replace(BASELINE_POLICY, p_sr="x", eps_ori=0.7))
-        assert violations == ["p_sr: 'x' is not a number", "eps_ori: 0.7 not in [0, 0.5]"]
+        assert violations(p_sr="x", eps_ori=0.7) == [
+            "p_sr: 'x' is not a number",
+            "eps_ori: 0.7 not in [0, 0.5]",
+        ]
+
+    def test_every_construction_path_is_checked(self):
+        bad = dict(BASELINE_POLICY.to_dict(), eps_ori=0.7)
+        for build in (
+            lambda: AugmentationPolicy(**bad),
+            lambda: AugmentationPolicy.from_dict(bad),
+            lambda: AugmentationPolicy.from_json(json.dumps(bad)),
+        ):
+            with pytest.raises(DomainError, match=r"^invalid policy: eps_ori: 0.7 not in \[0, 0.5\]$"):
+                build()
 
 
 class TestSamplePolicy:
@@ -200,6 +215,7 @@ class TestApplyPolicy:
         assert any("example 1" in r.message for r in caplog.records)
 
     def test_invalid_policy_rejected(self):
+        # the policy checks itself when built, before apply_policy sees it
         with pytest.raises(DomainError):
             apply_policy(SENTENCES, 2, replace(BASELINE_POLICY, n_aug=0), LEX, random.Random(0))
 

@@ -104,9 +104,10 @@ class TestObjective:
         assert a == b
 
     def test_invalid_policy_rejected(self):
-        bad = replace(sample_policy(SPACE, random.Random(0)), n_aug=0)
-        with pytest.raises(DomainError):
-            objective(bad, TRAIN, VAL, 2, LEX, FAST, random.Random(0))
+        # the policy checks itself when built, so objective never sees it
+        with pytest.raises(DomainError) as e:
+            replace(sample_policy(SPACE, random.Random(0)), n_aug=0)
+        assert e.value.violations == ["n_aug: 0 must be an integer >= 1"]
 
 
 class TestOptimize:

@@ -77,6 +77,45 @@ class TestLoadLexicon:
             lex_from("good\tgreat,,fine")
 
 
+# a word the lexicon format stores unchanged: non-empty, lowercase, no
+# whitespace (so no line break), no comma, not starting a comment
+lexicon_words = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6
+).filter(lambda w: w.split() == [w] and w.lower() == w and "," not in w and w[0] != "#")
+
+lexicon_entries = st.dictionaries(
+    lexicon_words, st.lists(lexicon_words, min_size=1, max_size=4, unique=True), max_size=8
+).map(lambda d: {h: [s for s in syns if s != h] for h, syns in d.items()}).map(
+    lambda d: {h: syns for h, syns in d.items() if syns}
+)
+
+
+def lexicon_text(entries: dict[str, list[str]]) -> str:
+    return "\n".join(f"{h}\t{','.join(syns)}" for h, syns in entries.items())
+
+
+class TestLoadLexiconProperties:
+    @given(lexicon_entries, st.booleans())
+    def test_round_trip(self, entries, as_text):
+        text = lexicon_text(entries)
+        lex = load_lexicon(io.StringIO(text) if as_text else io.BytesIO(text.encode("utf-8")))
+        assert len(lex) == len(entries)
+        for head, syns in entries.items():
+            assert lex.synonyms(head) == syns
+
+    @given(
+        lexicon_entries,
+        st.sampled_from(["no tab here", "\tsyn", "head\t", "head\ta,,b", "head\t ,a", "head\ta,"]),
+        st.data(),
+    )
+    def test_malformed_line_is_named(self, entries, bad, data):
+        lines = ["# header", ""] + lexicon_text(entries).splitlines()
+        k = data.draw(st.integers(0, len(lines)))
+        lines.insert(k, bad)
+        with pytest.raises(DataError, match=rf"^lexicon line {k + 1}: "):
+            lex_from("\n".join(lines))
+
+
 class TestSynonyms:
     def test_case_insensitive(self):
         lex = lex_from("good\tgreat")
