@@ -4,12 +4,12 @@ Features are unigrams and bigrams of the lowercased, whitespace-split
 text, hashed with byte-level FNV-1a 64 masked to 18 bits, so the feature
 map is identical across runs and platforms. Weights start at zero:
 randomness enters training only through shuffling and augmentation.
-Training minimizes soft-target cross entropy over shuffled batches with
-two step rules: the weights step after every example, so a later example
-in a batch sees the steps of the ones before it, and the bias steps once
-per batch with the batch's summed gradient; both steps are scaled by
-learning_rate / len(batch). Training early-stops on validation accuracy.
-Validation, evaluate and predict score text with one routine (_logits),
+Training minimizes soft-target cross entropy by mini-batch SGD over
+shuffled batches: each batch is scored with the pre-batch weights, then
+the weights and the bias step once by the batch's summed gradient,
+scaled by learning_rate / len(batch); batch-mates that share a feature
+column add their steps there. Training early-stops on validation accuracy.
+Every scoring path, training included, uses one routine (_logits),
 which adds the bias and then each feature's term in featurize's order.
 """
 from __future__ import annotations
@@ -154,16 +154,18 @@ def train(
     cfg: TrainConfig,
     rng: random.Random,
 ) -> tuple[LinearModel, list[EpochStats]]:
-    """SGD with per-epoch shuffling: each batch steps the weights once per
-    example, in batch order, and the bias once with the batch's summed
-    gradient, both by learning_rate / len(batch). Early-stops after
-    `patience` epochs without a validation accuracy improvement and
-    returns the best snapshot (ties resolve to the earliest epoch).
+    """Mini-batch SGD with per-epoch shuffling: each batch is scored with
+    the pre-batch weights, then one scatter-add steps every feature column
+    by -learning_rate / len(batch) * count * gradient, example by example
+    and feature by feature, and the bias steps once by the batch's summed
+    gradient at the same scale. Early-stops after `patience` epochs
+    without a validation accuracy improvement and returns the best
+    snapshot (ties resolve to the earliest epoch).
 
     Training runs on the buckets seen in train+val, renumbered to dense
     columns; the returned model holds them in its 2^18 buckets and is zero
-    elsewhere. Logits sum in featurize's order, as in _logits, so they
-    match the returned model's bit for bit."""
+    elsewhere. Batches and validation are scored with _logits, so their
+    logits match the returned model's bit for bit."""
     if not train_examples:
         raise DomainError("empty training set")
     if not val:
@@ -176,10 +178,7 @@ def train(
 
     columns: dict[int, int] = {}
     keys: dict[str, int] = {}
-    feats = [
-        (np.array(list(f), dtype=np.intp), np.array(list(f.values()))[:, None])
-        for f in _compact([ex.text for ex in train_examples], columns, keys)
-    ]
+    ids, counts = _padded(_compact([ex.text for ex in train_examples], columns, keys))
     targets = np.array([ex.soft_label for ex in train_examples], dtype=float)
     val_ids, val_counts = _padded(_compact([text for text, _ in val], columns, keys))
 
@@ -197,18 +196,14 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             scale = cfg.learning_rate / len(batch)
-            bias_grad = np.zeros(n_class)
-            for row, i in enumerate(batch, start):
-                ids, counts = feats[i]
-                rows = weights[ids]
-                # cumsum, not a dot product: the terms add one at a time in
-                # featurize's order, as in _logits, to the last bit
-                z = np.concatenate((bias[None], rows * counts)).cumsum(axis=0)[-1]
-                probs_seen[row] = probs = softmax(z)
-                g = probs - targets[i]
-                bias_grad += g
-                weights[ids] = rows - (scale * counts) * g
-            bias -= scale * bias_grad
+            ids_b, counts_b = ids[batch], counts[batch]
+            probs = softmax(_logits(weights, bias, ids_b, counts_b))
+            probs_seen[start : start + len(batch)] = probs
+            g = probs - targets[batch]
+            # unbuffered, so batch-mates' steps to a shared column add up;
+            # padding adds zero steps to column 0
+            np.add.at(weights, ids_b, -(scale * counts_b)[:, :, None] * g[:, None, :])
+            bias -= scale * g.sum(axis=0)
         # summed one example at a time, in visiting order
         losses = soft_cross_entropy(probs_seen, targets[order])
         mean_loss = float(losses.cumsum()[-1]) / len(order)

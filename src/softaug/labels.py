@@ -46,10 +46,10 @@ def soft_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float | np.ndarr
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis: one distribution per row of a batch."""
     z = np.asarray(logits, dtype=float)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def soft_ce_gradient(logits: np.ndarray, target: np.ndarray) -> np.ndarray:

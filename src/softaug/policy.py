@@ -191,7 +191,7 @@ def _renormalize(weights: list[float]) -> list[float]:
 class AugmentedExample:
     text: str
     soft_label: np.ndarray
-    provenance: str  # "original" | "eda-augmented"
+    provenance: str  # "original" | "eda-augmented" (every copy, aeda ones too)
     source_index: int
 
     def to_dict(self) -> dict:
@@ -216,7 +216,8 @@ def apply_policy(
     selected with probability p_aug, n_aug copies (eps_aug smoothing),
     grouped by source index. `op` makes each copy: "eda" with the policy's
     mix and magnitudes, or "aeda" punctuation insertion. With p_aug = 0
-    nothing is selected and rng is not drawn from."""
+    nothing is selected and rng is not drawn from. Every copy has
+    provenance "eda-augmented", whichever op made it."""
     if not split:
         raise DomainError("empty dataset")
     if op not in ("eda", "aeda"):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,9 +145,14 @@ def copy_model(model):
     return LinearModel(model.weights.copy(), model.bias.copy(), model.n_class)
 
 
-def dense_train(train_examples, val, n_class, cfg, rng):
+def dense_train(train_examples, val, n_class, cfg, rng, batched=False):
     """Reference for `train`: the per-feature loop over the full
-    (n_class, 2^18) model, which `train` must match."""
+    (n_class, 2^18) model. With batched=True every example of a batch is
+    scored with the pre-batch weights, and the steps then subtract example
+    by example and feature by feature (np.add.at's order): `train` must
+    match it. With batched=False each example is scored after its
+    batch-mates' steps (the per-example rule), which `train` matches at
+    batch_size=1."""
     feats = [featurize(ex.text) for ex in train_examples]
     targets = [np.asarray(ex.soft_label, dtype=float) for ex in train_examples]
     val_feats = [(featurize(text), y) for text, y in val]
@@ -160,8 +166,9 @@ def dense_train(train_examples, val, n_class, cfg, rng):
             batch = order[start : start + cfg.batch_size]
             scale = cfg.learning_rate / len(batch)
             bias_grad = np.zeros(n_class)
-            for i in batch:
-                probs = softmax(loop_logits(model, feats[i]))
+            pre = [softmax(loop_logits(model, feats[i])) for i in batch] if batched else []
+            for k, i in enumerate(batch):
+                probs = pre[k] if batched else softmax(loop_logits(model, feats[i]))
                 loss_sum += soft_cross_entropy(probs, targets[i])
                 g = probs - targets[i]
                 bias_grad += g
@@ -180,9 +187,11 @@ def dense_train(train_examples, val, n_class, cfg, rng):
     return best, history
 
 
-def assert_same_training(examples, val, n_class, cfg, seed):
+def assert_same_as(examples, val, n_class, cfg, seed, batched):
     model, history = train(examples, val, n_class, cfg, random.Random(seed))
-    ref_model, ref_history = dense_train(examples, val, n_class, cfg, random.Random(seed))
+    ref_model, ref_history = dense_train(
+        examples, val, n_class, cfg, random.Random(seed), batched
+    )
     assert [(h.epoch, h.val_accuracy) for h in history] == [(e, a) for e, _, a in ref_history]
     for h, (_, loss, _) in zip(history, ref_history):
         assert h.train_loss == pytest.approx(loss, rel=1e-9, abs=0.0)
@@ -191,6 +200,13 @@ def assert_same_training(examples, val, n_class, cfg, seed):
     # the same sums in the same order: equal to the last bit
     np.testing.assert_array_equal(model.weights, ref_model.weights)
     np.testing.assert_array_equal(model.bias, ref_model.bias)
+
+
+def assert_same_training(examples, val, n_class, cfg, seed):
+    """`train` equals the batched reference at cfg's batch size, and the
+    per-example reference at batch size 1."""
+    assert_same_as(examples, val, n_class, cfg, seed, batched=True)
+    assert_same_as(examples, val, n_class, replace(cfg, batch_size=1), seed, batched=False)
 
 
 def golden_fixture():
@@ -210,14 +226,14 @@ def golden_fixture():
 
 
 class TestTrainSemantics:
-    # recorded from the per-feature dense trainer (dense_train above)
+    # recorded from the batched trainer, which dense_train(batched=True) matches
     GOLDEN = [
-        (1, 1.079339996068293, 0.6666666666666666),
-        (2, 0.9578734065856591, 0.6666666666666666),
-        (3, 0.8689008941047559, 0.75),
-        (4, 0.795260982886801, 0.6666666666666666),
-        (5, 0.7380702930776685, 0.6666666666666666),
-        (6, 0.688855570712765, 0.6666666666666666),
+        (1, 1.0834704311449779, 0.6666666666666666),
+        (2, 0.9623383649279773, 0.6666666666666666),
+        (3, 0.8702429658019526, 0.75),
+        (4, 0.7967684167742356, 0.6666666666666666),
+        (5, 0.7395320222734139, 0.6666666666666666),
+        (6, 0.687945840285863, 0.6666666666666666),
     ]
     GOLDEN_CFG = TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=12, patience=3)
 

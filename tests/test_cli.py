@@ -190,6 +190,11 @@ class TestCompareCommand:
             ({"space": [1]}, "space"),
             ({"val_fraction": "x"}, "val_fraction"),
             ({"seeds": ["a"]}, "seeds"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"dataset_path": 5}, "dataset_path"),
+            ({"lexicon_path": 5}, "lexicon_path"),
+            ({"dataset_format": 5}, "dataset_format"),
+            ({"methods": []}, "methods"),
         ],
     )
     def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):

@@ -65,7 +65,9 @@ class TestRunMethod:
     @pytest.mark.parametrize(
         "method, expected",
         [
-            ("baseline", (0.359375, 0.59375)),
+            # 16 examples in one 32-example batch: the steps are symmetric in
+            # pos and neg, so every pair ties and argmax breaks to class 0
+            ("baseline", (0.0, 0.0)),
             ("eda", (0.6875, 0.0)),
             ("softeda_fixed", (0.6875, 0.0)),
         ],

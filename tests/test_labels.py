@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softaug.errors import DomainError
 from softaug.labels import (
@@ -88,6 +90,29 @@ def finite_difference_gradient(logits, target, h=1e-5):
             - soft_cross_entropy(softmax(down), target)
         ) / (2 * h)
     return grad
+
+
+def one_row_softmax(logits):
+    """The 1-D softmax as it was before softmax took batches."""
+    z = np.asarray(logits, dtype=float)
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+class TestSoftmax:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_each_row_matches_its_own_softmax(self, data):
+        n_class = data.draw(st.integers(1, 20))
+        logit = st.floats(-1e3, 1e3, allow_nan=False)
+        rows = data.draw(st.lists(st.lists(logit, min_size=n_class, max_size=n_class),
+                                  min_size=1, max_size=8))
+        batch = softmax(np.array(rows))
+        assert batch.shape == (len(rows), n_class)
+        for row, probs in zip(rows, batch):
+            assert probs.tobytes() == softmax(np.array(row)).tobytes()
+            assert softmax(row).tobytes() == one_row_softmax(row).tobytes()
 
 
 class TestSoftCeGradient:
