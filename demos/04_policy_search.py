@@ -8,6 +8,7 @@ import random
 
 from softaug import (
     SearchConfig,
+    TrainConfig,
     load_bundled_lexicon,
     make_synthetic_reviews,
     make_val_split,
@@ -21,8 +22,8 @@ lex = load_bundled_lexicon()
 sub = subsample(data, 100, seed=0)
 train_split, val_split = make_val_split(sub.split("train"), 0.2, seed=0)
 
-cfg = SearchConfig(n_trials=10, n_startup=4, runs_per_trial=2, seed=0)
-best_policy, log = optimize(train_split, val_split, 2, PolicySpace(), lex, cfg)
+cfg = SearchConfig(n_trials=10, n_startup=4, runs_per_trial=2)
+best_policy, log = optimize(train_split, val_split, 2, PolicySpace(), lex, cfg, TrainConfig(), 0)
 
 running = -1.0
 for record in log:

@@ -14,13 +14,14 @@ which adds the bias and then each feature's term in featurize's order.
 """
 from __future__ import annotations
 
+import numbers
 import random
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, TrainingError
+from .errors import DataError, DomainError, TrainingError, require_counts
 from .labels import soft_cross_entropy, softmax
 from .policy import AugmentedExample
 
@@ -95,10 +96,12 @@ class TrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise DomainError("learning_rate, batch_size, max_epochs must be positive")
-        if not 1 <= self.patience <= self.max_epochs:
-            raise DomainError("patience must be in [1, max_epochs]")
+        lr = self.learning_rate
+        if not (isinstance(lr, numbers.Real) and np.isfinite(lr) and lr > 0):
+            raise DomainError(f"learning_rate: {lr!r} must be a finite number > 0")
+        require_counts(self, "batch_size", "max_epochs", "patience")
+        if self.patience > self.max_epochs:
+            raise DomainError(f"patience: {self.patience} must be <= max_epochs ({self.max_epochs})")
 
 
 @dataclass(frozen=True)

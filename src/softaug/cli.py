@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 usage error, 2 data/ingestion error, 3
-runtime/training error.
+training error.
 """
 from __future__ import annotations
 
@@ -11,13 +11,12 @@ import random
 import sys
 from pathlib import Path
 
-from .classifier import TrainConfig, evaluate, load_model, save_model, train
+from .classifier import evaluate, load_model, save_model, train
 from .datasets import load_dataset, make_val_split, subsample
 from .errors import DataError, DomainError, TrainingError
-from .harness import ExperimentConfig, render_report, run_experiment
-from .policy import AugmentationPolicy, PolicySpace, apply_policy, write_augmented_jsonl
+from .harness import ExperimentConfig, load_experiment_lexicon, render_report, run_experiment
+from .policy import AugmentationPolicy, apply_policy, write_augmented_jsonl
 from .search import SearchConfig, optimize
-from .textops import load_bundled_lexicon, load_lexicon
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,10 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _lexicon(path):
-    return load_lexicon(path) if path else load_bundled_lexicon()
-
-
 def _read_policy(path) -> AugmentationPolicy:
     try:
         with open(path, encoding="utf-8") as f:
@@ -88,7 +83,7 @@ def _cmd_augment(args) -> int:
     data = load_dataset(args.input, args.format)
     policy = _read_policy(args.policy)
     examples = apply_policy(
-        data.split("train"), data.n_class, policy, _lexicon(args.lexicon),
+        data.split("train"), data.n_class, policy, load_experiment_lexicon(args.lexicon),
         random.Random(args.seed),
     )
     write_augmented_jsonl(args.output, examples)
@@ -97,20 +92,19 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    data = load_dataset(args.input, args.format)
-    sub_data = subsample(data, args.n_train, args.seed)
-    tr, val = make_val_split(sub_data.split("train"), 0.2, args.seed)
-    cfg = SearchConfig(
-        n_trials=args.trials,
-        n_startup=min(5, max(1, args.trials - 1)),
-        seed=args.seed,
-        fix_smoothing_to_zero=args.no_label_smoothing,
+    cfg = ExperimentConfig(
+        n_train=args.n_train,
+        search=SearchConfig(n_trials=args.trials, n_startup=min(5, max(1, args.trials - 1))),
     )
+    data = load_dataset(args.input, args.format)
+    sub_data = subsample(data, cfg.n_train, args.seed)
+    tr, val = make_val_split(sub_data.split("train"), cfg.val_fraction, args.seed)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trials.jsonl", "w", encoding="utf-8") as log:
         best, history = optimize(
-            tr, val, data.n_class, PolicySpace(), _lexicon(args.lexicon), cfg, log
+            tr, val, data.n_class, cfg.space, load_experiment_lexicon(args.lexicon),
+            cfg.search, cfg.train, args.seed, log, smoothing=not args.no_label_smoothing,
         )
     (out / "best_policy.json").write_text(best.to_json() + "\n", encoding="utf-8")
     best_score = max(r.score for r in history)
@@ -121,13 +115,14 @@ def _cmd_search(args) -> int:
 def _cmd_train(args) -> int:
     data = load_dataset(args.input, args.format)
     policy = _read_policy(args.policy)
+    cfg = ExperimentConfig()
     rng = random.Random(args.seed)
     if "val" in data.splits:
         tr, val = data.split("train"), data.split("val")
     else:
-        tr, val = make_val_split(data.split("train"), 0.2, args.seed)
-    examples = apply_policy(tr, data.n_class, policy, _lexicon(args.lexicon), rng)
-    model, history = train(examples, val, data.n_class, TrainConfig(), rng)
+        tr, val = make_val_split(data.split("train"), cfg.val_fraction, args.seed)
+    examples = apply_policy(tr, data.n_class, policy, load_experiment_lexicon(args.lexicon), rng)
+    model, history = train(examples, val, data.n_class, cfg.train, rng)
     save_model(model, args.output)
     print(
         f"trained {len(history)} epochs, best val accuracy "
@@ -173,7 +168,7 @@ def main(argv=None) -> int:
     except (DataError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TrainingError, RuntimeError) as e:
+    except TrainingError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
 
 
 class SoftAugError(Exception):
@@ -15,3 +16,12 @@ class DomainError(SoftAugError, ValueError):
 
 class TrainingError(SoftAugError, RuntimeError):
     """Training diverged or produced a non-finite loss."""
+
+
+def require_counts(obj, *names: str):
+    """Raise DomainError naming the first field of `obj` in `names` whose
+    value is not an integer >= 1."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (isinstance(value, int) and value >= 1):
+            raise DomainError(f"{name}: {value!r} must be an integer >= 1")

@@ -16,12 +16,12 @@ import os
 import random
 import traceback
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classifier import TrainConfig, evaluate, train
 from .datasets import LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
-from .errors import DomainError
+from .errors import DomainError, SoftAugError, require_counts
 from .policy import AugmentationPolicy, PolicySpace, apply_policy
 from .search import _SEED_RANGE, SearchConfig, optimize
 from .textops import SynonymLexicon, load_bundled_lexicon, load_lexicon
@@ -34,6 +34,7 @@ __all__ = [
     "ReportCell",
     "run_method",
     "run_experiment",
+    "load_experiment_lexicon",
     "render_report",
 ]
 
@@ -74,8 +75,7 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n_train, int) and self.n_train >= 1):
-            raise DomainError(f"n_train: {self.n_train!r} must be an integer >= 1")
+        require_counts(self, "n_train")
         if not all(isinstance(s, int) for s in self.seeds):
             raise DomainError(f"seeds: {list(self.seeds)} must be integers")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -196,15 +196,12 @@ def run_method(
     rng = random.Random(seed)
 
     if method in ("ours", "ours_no_ls"):
-        search_cfg = replace(
-            cfg.search,
-            seed=rng.randrange(_SEED_RANGE),
-            fix_smoothing_to_zero=(method == "ours_no_ls"),
-            train=cfg.train,
-        )
         log_path = artifacts_dir / f"trials_{method}_seed{seed}.jsonl" if artifacts_dir else None
         with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log:
-            policy, _ = optimize(train_split, val_split, n_class, cfg.space, lex, search_cfg, log)
+            policy, _ = optimize(
+                train_split, val_split, n_class, cfg.space, lex, cfg.search, cfg.train,
+                rng.randrange(_SEED_RANGE), log, smoothing=(method == "ours"),
+            )
         if artifacts_dir:
             _atomic_write(
                 artifacts_dir / f"best_policy_{method}_seed{seed}.json",
@@ -225,20 +222,20 @@ def _load_experiment_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     return load_dataset(cfg.dataset_path, cfg.dataset_format)
 
 
-def _load_experiment_lexicon(cfg: ExperimentConfig) -> SynonymLexicon:
-    if cfg.lexicon_path is None:
-        return load_bundled_lexicon()
-    return load_lexicon(cfg.lexicon_path)
+def load_experiment_lexicon(path: str | None) -> SynonymLexicon:
+    """The lexicon file at `path`, or the bundled lexicon for None."""
+    return load_bundled_lexicon() if path is None else load_lexicon(path)
 
 
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Full multi-seed sweep over cfg.methods. Per seed: subsample the
     train split to n_train, carve the validation holdout, run each
-    method, score on the test split. A failing (method, seed) cell is
-    recorded and excluded rather than aborting the sweep; with an output
-    directory, its traceback goes to failure_<method>_seed<seed>.txt."""
+    method, score on the test split. A cell that raises a SoftAugError is
+    recorded and excluded rather than aborting the sweep (any other error
+    propagates); with an output directory, its traceback goes to
+    failure_<method>_seed<seed>.txt."""
     data = _load_experiment_dataset(cfg)
-    lex = _load_experiment_lexicon(cfg)
+    lex = load_experiment_lexicon(cfg.lexicon_path)
     test_split = data.split("test")
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     if out_dir:
@@ -254,7 +251,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
                 acc = run_method(
                     method, tr, val, test_split, data.n_class, lex, cfg, seed, out_dir
                 )
-            except Exception:  # degrade, don't abort the sweep
+            except SoftAugError:  # degrade, don't abort the sweep
                 failures[method].append(seed)
                 if out_dir:
                     _atomic_write(

@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .classifier import TrainConfig, train
-from .errors import DomainError
+from .errors import DomainError, require_counts
 from .policy import AugmentationPolicy, PolicySpace, _renormalize, apply_policy, sample_policy
 from .textops import SynonymLexicon
 
@@ -68,20 +68,14 @@ class SearchConfig:
     gamma: float = 0.25
     n_candidates: int = 24
     runs_per_trial: int = 3
-    seed: int = 0
-    fix_smoothing_to_zero: bool = False
-    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.n_startup < 1 or self.n_trials < 1:
-            raise DomainError("n_startup and n_trials must be >= 1")
+        require_counts(self, "n_trials", "n_startup", "n_candidates", "runs_per_trial")
         # degenerate one-trial budgets are allowed (pure startup)
         if self.n_trials > 1 and self.n_startup >= self.n_trials:
             raise DomainError("need n_startup < n_trials")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError("gamma must be in (0, 1)")
-        if self.n_candidates < 1 or self.runs_per_trial < 1:
-            raise DomainError("n_candidates and runs_per_trial must be >= 1")
 
 
 # --- policy <-> 12-vector for the per-dimension density model ------------
@@ -153,41 +147,36 @@ def suggest(
     # during startup, or while the history is too small to split, keep
     # exploring the prior
     if len(history) < cfg.n_startup or not bad:
-        policy = sample_policy(space, rng)
-    else:
-        bounds = [getattr(space, bname) for _, bname in _CONT_DIMS]
-        # bandwidth from the whole history per dimension: estimating it from the
-        # good/bad subsets alone collapses once the good set concentrates, and a
-        # collapsed l(x) stops proposing anything outside the current best point
-        everything = good + bad
-        bw = [_silverman_bandwidth([v[d] for v in everything], *bounds[d]) for d in range(11)]
-        good_cats = [v[-1] for v in good]
-        bad_cats = [v[-1] for v in bad]
-        cat_probs = [_cat_freq(c, good_cats, space.n_aug_choices) for c in space.n_aug_choices]
+        return sample_policy(space, rng)
 
-        best_vec, best_ratio = None, -math.inf
-        for _ in range(cfg.n_candidates):
-            vec = []
-            for d in range(11):
-                lo, hi = bounds[d]
-                center = good[rng.randrange(len(good))][d]
-                vec.append(min(max(rng.gauss(center, bw[d]), lo), hi))
-            vec.append(rng.choices(space.n_aug_choices, cat_probs)[0])
+    bounds = [getattr(space, bname) for _, bname in _CONT_DIMS]
+    # bandwidth from the whole history per dimension: estimating it from the
+    # good/bad subsets alone collapses once the good set concentrates, and a
+    # collapsed l(x) stops proposing anything outside the current best point
+    everything = good + bad
+    bw = [_silverman_bandwidth([v[d] for v in everything], *bounds[d]) for d in range(11)]
+    good_cats = [v[-1] for v in good]
+    bad_cats = [v[-1] for v in bad]
+    cat_probs = [_cat_freq(c, good_cats, space.n_aug_choices) for c in space.n_aug_choices]
 
-            ratio = 0.0
-            for d in range(11):
-                ratio += _kde_logpdf(vec[d], [v[d] for v in good], bw[d])
-                ratio -= _kde_logpdf(vec[d], [v[d] for v in bad], bw[d])
-            ratio += math.log(_cat_freq(vec[-1], good_cats, space.n_aug_choices))
-            ratio -= math.log(_cat_freq(vec[-1], bad_cats, space.n_aug_choices))
-            if ratio > best_ratio:
-                best_vec, best_ratio = tuple(vec), ratio
-        policy = _vector_to_policy(best_vec, space)
-    return _clamp_smoothing(policy) if cfg.fix_smoothing_to_zero else policy
+    best_vec, best_ratio = None, -math.inf
+    for _ in range(cfg.n_candidates):
+        vec = []
+        for d in range(11):
+            lo, hi = bounds[d]
+            center = good[rng.randrange(len(good))][d]
+            vec.append(min(max(rng.gauss(center, bw[d]), lo), hi))
+        vec.append(rng.choices(space.n_aug_choices, cat_probs)[0])
 
-
-def _clamp_smoothing(p: AugmentationPolicy) -> AugmentationPolicy:
-    return replace(p, eps_ori=0.0, eps_aug=0.0)
+        ratio = 0.0
+        for d in range(11):
+            ratio += _kde_logpdf(vec[d], [v[d] for v in good], bw[d])
+            ratio -= _kde_logpdf(vec[d], [v[d] for v in bad], bw[d])
+        ratio += math.log(_cat_freq(vec[-1], good_cats, space.n_aug_choices))
+        ratio -= math.log(_cat_freq(vec[-1], bad_cats, space.n_aug_choices))
+        if ratio > best_ratio:
+            best_vec, best_ratio = tuple(vec), ratio
+    return _vector_to_policy(best_vec, space)
 
 
 # --- objective and the optimization loop ---------------------------------
@@ -200,15 +189,16 @@ def objective(
     n_class: int,
     lex: SynonymLexicon,
     cfg: SearchConfig,
+    train_cfg: TrainConfig,
     rng: random.Random,
 ) -> tuple[tuple[float, ...], float]:
-    """Train runs_per_trial classifiers on policy-augmented data; each run's
-    score is its best validation accuracy. Returns (run_scores, mean)."""
+    """Train runs_per_trial classifiers with train_cfg on policy-augmented
+    data; each run's score is its best validation accuracy. Returns (run_scores, mean)."""
     run_scores = []
     for _ in range(cfg.runs_per_trial):
         run_rng = random.Random(rng.randrange(_SEED_RANGE))
         augmented = apply_policy(train_split, n_class, policy, lex, run_rng)
-        _, history = train(augmented, val_split, n_class, cfg.train, run_rng)
+        _, history = train(augmented, val_split, n_class, train_cfg, run_rng)
         run_scores.append(max(h.val_accuracy for h in history))
     return tuple(run_scores), sum(run_scores) / len(run_scores)
 
@@ -220,22 +210,31 @@ def optimize(
     space: PolicySpace,
     lex: SynonymLexicon,
     cfg: SearchConfig,
+    train_cfg: TrainConfig,
+    seed: int,
     trial_log=None,
+    *,
+    smoothing: bool = True,
 ) -> tuple[AugmentationPolicy, list[TrialRecord]]:
-    """Run n_trials suggest->objective iterations. Returns the best-scoring
-    policy (ties resolve to the earliest trial) and the full trial log.
+    """Run n_trials suggest->objective iterations, drawing from
+    random.Random(seed) and training with train_cfg. smoothing=False pins
+    each suggestion's eps_ori and eps_aug to 0 (the no-label-smoothing
+    ablation; no rng draw). Returns the best-scoring policy (ties resolve
+    to the earliest trial) and the full trial log.
 
     `trial_log`, if given, is a writable text stream receiving one JSON
     trial record per line as each trial completes, so a partial log
     survives an aborted search.
     """
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     history: list[TrialRecord] = []
     for t in range(cfg.n_trials):
         policy = suggest(history, space, cfg, rng)
+        if not smoothing:
+            policy = replace(policy, eps_ori=0.0, eps_aug=0.0)
         trial_seed = rng.randrange(_SEED_RANGE)
         run_scores, score = objective(
-            policy, train_split, val_split, n_class, lex, cfg, random.Random(trial_seed)
+            policy, train_split, val_split, n_class, lex, cfg, train_cfg, random.Random(trial_seed)
         )
         record = TrialRecord(policy, score, run_scores, t, trial_seed)
         history.append(record)

@@ -130,6 +130,13 @@ class TestTrain:
             TrainConfig(patience=11, max_epochs=10)
         with pytest.raises(DomainError):
             TrainConfig(learning_rate=0.0)
+        for name, value in [
+            ("batch_size", 2.5), ("max_epochs", 2.5), ("patience", 1.5),
+            ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+            ("learning_rate", "x"),
+        ]:
+            with pytest.raises(DomainError, match=name):
+                TrainConfig(**{name: value})
 
 
 def loop_logits(model, feats):

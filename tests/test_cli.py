@@ -4,7 +4,9 @@ import random
 import numpy as np
 import pytest
 
+from softaug import cli
 from softaug.cli import main
+from softaug.errors import TrainingError
 from softaug.policy import AugmentationPolicy
 
 POLICY = AugmentationPolicy(
@@ -78,6 +80,25 @@ class TestAugmentCommand:
     def test_usage_error(self):
         assert main(["augment", "--seed", "1"]) == 1
         assert main(["frobnicate"]) == 1
+
+
+class TestExitCodes:
+    def test_training_error_is_exit_3(self, monkeypatch, capsys):
+        def diverge(args):
+            raise TrainingError("non-finite training loss at epoch 1")
+
+        monkeypatch.setitem(cli._COMMANDS, "eval", diverge)
+        assert main(["eval", "--model", "m.npz", "--input", "d.csv"]) == 3
+        assert capsys.readouterr().err == "error: non-finite training loss at epoch 1\n"
+
+    def test_other_runtime_errors_propagate(self, monkeypatch):
+        # exit 3 means a training error; a bug surfaces with its traceback
+        def unfinished(args):
+            raise NotImplementedError("unfinished command")
+
+        monkeypatch.setitem(cli._COMMANDS, "eval", unfinished)
+        with pytest.raises(NotImplementedError, match="unfinished command"):
+            main(["eval", "--model", "m.npz", "--input", "d.csv"])
 
 
 class TestSearchCommand:
@@ -195,6 +216,12 @@ class TestCompareCommand:
             ({"lexicon_path": 5}, "lexicon_path"),
             ({"dataset_format": 5}, "dataset_format"),
             ({"methods": []}, "methods"),
+            ({"train": {"batch_size": 2.5}}, "batch_size"),
+            ({"train": {"max_epochs": 2.5}}, "max_epochs"),
+            ({"search": {"n_trials": 2.5}}, "n_trials"),
+            ({"search": {"runs_per_trial": 1.5}}, "runs_per_trial"),
+            ({"train": {"learning_rate": float("nan")}}, "learning_rate"),
+            ({"train": {"learning_rate": float("inf")}}, "learning_rate"),
         ],
     )
     def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):

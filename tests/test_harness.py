@@ -167,6 +167,25 @@ class TestRunExperiment:
         assert (out / "report.json").read_text() == expected
         assert sorted(f.name for f in out.glob("failure_*")) == ["failure_eda_seed0.txt"]
 
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only package errors become failed cells; anything else is a bug
+        def train_type_error(*args):
+            raise TypeError("forced bug")
+
+        monkeypatch.setattr(harness, "train", train_type_error)
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(
+            dataset_path=str(tiny_dataset_file(tmp_path)),
+            methods=("baseline",),
+            seeds=(0,),
+            n_train=20,
+            train=TrainConfig(max_epochs=2, patience=2),
+            output_dir=str(out),
+        )
+        with pytest.raises(TypeError, match="forced bug"):
+            run_experiment(cfg)
+        assert list(out.glob("failure_*")) == []
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             ExperimentConfig(seeds=())

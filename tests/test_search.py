@@ -32,10 +32,8 @@ VAL = [
     ("weak bland dialogue", 0),
 ]
 
-FAST = SearchConfig(
-    n_trials=3, n_startup=2, runs_per_trial=1,
-    train=TrainConfig(max_epochs=2, patience=2),
-)
+FAST = SearchConfig(n_trials=3, n_startup=2, runs_per_trial=1)
+FAST_TRAIN = TrainConfig(max_epochs=2, patience=2)
 
 
 def synthetic_record(policy, score, index):
@@ -65,12 +63,17 @@ class TestSuggest:
             assert validate_policy(p) == []
 
     def test_smoothing_clamp_in_both_branches(self):
-        cfg = SearchConfig(fix_smoothing_to_zero=True)
-        p = suggest([], SPACE, cfg, random.Random(0))
-        assert p.eps_ori == 0.0 and p.eps_aug == 0.0
-        history = synthetic_history(SPACE, 30, lambda p: -((p.p_aug - 0.7) ** 2))
-        p = suggest(history, SPACE, cfg, random.Random(1))
-        assert p.eps_ori == 0.0 and p.eps_aug == 0.0
+        # trials 0-1 are prior draws, trials 2-4 TPE proposals
+        cfg = replace(FAST, n_trials=5)
+        _, log = optimize(TRAIN, VAL, 2, SPACE, LEX, cfg, FAST_TRAIN, 0, smoothing=False)
+        assert len(log) == 5 and cfg.n_startup == 2
+        assert all(r.policy.eps_ori == 0.0 and r.policy.eps_aug == 0.0 for r in log)
+        # pinning draws nothing: the startup trials match the smoothed run's
+        _, smoothed = optimize(TRAIN, VAL, 2, SPACE, LEX, cfg, FAST_TRAIN, 0)
+        for a, b in zip(log[:2], smoothed[:2]):
+            assert a.seed == b.seed
+            assert a.policy == replace(b.policy, eps_ori=0.0, eps_aug=0.0)
+            assert b.policy.eps_ori > 0.0 and b.policy.eps_aug > 0.0
 
     def test_concentrates_near_known_optimum(self):
         # 1-D effective objective: only p_aug matters, optimum at 0.7
@@ -87,20 +90,26 @@ class TestSuggest:
             SearchConfig(gamma=0.0)
         with pytest.raises(DomainError):
             SearchConfig(runs_per_trial=0)
+        for name, value in [
+            ("n_trials", 2.5), ("n_startup", 1.5), ("n_candidates", 24.0),
+            ("runs_per_trial", 1.5), ("gamma", float("nan")),
+        ]:
+            with pytest.raises(DomainError, match=name):
+                SearchConfig(**{name: value})
 
 
 class TestObjective:
     def test_run_scores_aggregation(self):
         policy = sample_policy(SPACE, random.Random(0))
         cfg = replace(FAST, runs_per_trial=3)
-        run_scores, score = objective(policy, TRAIN, VAL, 2, LEX, cfg, random.Random(1))
+        run_scores, score = objective(policy, TRAIN, VAL, 2, LEX, cfg, FAST_TRAIN, random.Random(1))
         assert len(run_scores) == 3
         assert score == pytest.approx(sum(run_scores) / 3)
 
     def test_deterministic_under_seed(self):
         policy = sample_policy(SPACE, random.Random(2))
-        a = objective(policy, TRAIN, VAL, 2, LEX, FAST, random.Random(3))
-        b = objective(policy, TRAIN, VAL, 2, LEX, FAST, random.Random(3))
+        a = objective(policy, TRAIN, VAL, 2, LEX, FAST, FAST_TRAIN, random.Random(3))
+        b = objective(policy, TRAIN, VAL, 2, LEX, FAST, FAST_TRAIN, random.Random(3))
         assert a == b
 
     def test_invalid_policy_rejected(self):
@@ -113,12 +122,12 @@ class TestObjective:
 class TestOptimize:
     def test_single_trial_budget(self):
         cfg = replace(FAST, n_trials=1, n_startup=1)
-        best, log = optimize(TRAIN, VAL, 2, SPACE, LEX, cfg)
+        best, log = optimize(TRAIN, VAL, 2, SPACE, LEX, cfg, FAST_TRAIN, 0)
         assert len(log) == 1
         assert best == log[0].policy
 
     def test_trial_log_bookkeeping(self):
-        best, log = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST)
+        best, log = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST, FAST_TRAIN, 0)
         assert [r.trial_index for r in log] == list(range(FAST.n_trials))
         assert max(r.score for r in log) == next(
             r.score for r in log if r.policy == best
@@ -126,22 +135,54 @@ class TestOptimize:
         assert all(validate_policy(r.policy) == [] for r in log)
 
     def test_reproducible_trial_log(self):
-        _, log1 = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST)
-        _, log2 = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST)
+        _, log1 = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST, FAST_TRAIN, 0)
+        _, log2 = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST, FAST_TRAIN, 0)
         assert log1 == log2
 
     def test_trial_log_stream_and_round_trip(self):
         stream = io.StringIO()
-        _, log = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST, trial_log=stream)
+        _, log = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST, FAST_TRAIN, 0, trial_log=stream)
         lines = stream.getvalue().strip().splitlines()
         assert len(lines) == FAST.n_trials
         parsed = [TrialRecord.from_dict(json.loads(line)) for line in lines]
         assert parsed == log
 
     def test_no_label_smoothing_ablation(self):
-        cfg = replace(FAST, fix_smoothing_to_zero=True)
-        _, log = optimize(TRAIN, VAL, 2, SPACE, LEX, cfg)
+        _, log = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST, FAST_TRAIN, 0, smoothing=False)
         assert all(r.policy.eps_ori == 0.0 and r.policy.eps_aug == 0.0 for r in log)
+
+    # FAST, FAST_TRAIN, seed 0. Pinning the smoothing factors draws nothing
+    # from the rng; on this fixture both runs share every trial seed and
+    # every policy value but eps_ori and eps_aug
+    GOLDEN_BEST = {
+        "p_aug": 0.5601472492317476, "p_sr": 0.36796899896134594,
+        "p_ri": 0.3307349565181448, "p_rs": 0.18545339075390682,
+        "p_rd": 0.11584265376660231, "alpha_sr": 0.12743089986062014,
+        "alpha_ri": 0.23730159082008406, "alpha_rs": 0.09796069056288895,
+        "alpha_rd": 0.1482131167041832, "n_aug": 2,
+        "eps_ori": 0.15140605674521707, "eps_aug": 0.21137838329977787,
+    }
+    GOLDEN_TRIALS = [  # (seed, p_aug, n_aug, eps_ori, eps_aug)
+        (3246154361, 0.5601472492317476, 2, 0.15140605674521707, 0.21137838329977787),
+        (1864753826, 0.8291955123969306, 4, 0.141642814635814, 0.07552590605127435),
+        (1947540172, 0.3892177658464704, 8, 0.15445563735923876, 0.18284357647580995),
+    ]
+
+    @pytest.mark.parametrize("smoothing", [True, False])
+    def test_golden_trial_log(self, smoothing):
+        best, log = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST, FAST_TRAIN, 0, smoothing=smoothing)
+        pinned = {} if smoothing else {"eps_ori": 0.0, "eps_aug": 0.0}
+        assert [r.score for r in log] == [1.0, 1.0, 1.0]
+        assert [r.run_scores for r in log] == [(1.0,), (1.0,), (1.0,)]
+        assert best.to_dict() == {**self.GOLDEN_BEST, **pinned}
+        expected = [
+            (seed, p_aug, n_aug, *((0.0, 0.0) if pinned else (eps_ori, eps_aug)))
+            for seed, p_aug, n_aug, eps_ori, eps_aug in self.GOLDEN_TRIALS
+        ]
+        assert [
+            (r.seed, r.policy.p_aug, r.policy.n_aug, r.policy.eps_ori, r.policy.eps_aug)
+            for r in log
+        ] == expected
 
 
 def synthetic_score(p):
