@@ -9,8 +9,10 @@ shuffled batches: each batch is scored with the pre-batch weights, then
 the weights and the bias step once by the batch's summed gradient,
 scaled by learning_rate / len(batch); batch-mates that share a feature
 column add their steps there. Training early-stops on validation accuracy.
-Every scoring path, training included, uses one routine (_logits),
-which adds the bias and then each feature's term in featurize's order.
+Training, validation, evaluate and predict share one indexer (_index: each
+distinct key hashed once per call, buckets renumbered to dense columns) and
+one scoring routine (_logits: the bias, then each feature's term in
+first-occurrence order). featurize is the public bucket view of the counts.
 """
 from __future__ import annotations
 
@@ -111,30 +113,25 @@ class EpochStats:
     val_accuracy: float
 
 
-def _compact(
+def _index(
     texts: list[str], columns: dict[int, int], keys: dict[str, int]
-) -> list[FeatureVector]:
-    """Each text's featurize() vector with every bucket renumbered to a
-    dense column. `columns` maps bucket -> column and grows by one for each
-    new bucket; `keys` maps key -> column, so each distinct key is hashed once."""
-    out = []
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, counts) rows of each text's featurize() counts, in first-occurrence
+    order and padded with id 0 at count 0, every bucket renumbered to a dense
+    column. `columns` maps bucket -> column and grows by one for each new
+    bucket; `keys` maps key -> column, so each distinct key is hashed once."""
+    rows = []
     for text in texts:
-        feats: FeatureVector = {}
+        feats: dict[int, float] = {}
         for key in _keys(text):
             col = keys.get(key)
             if col is None:
                 col = keys[key] = columns.setdefault(_bucket(key), len(columns))
             feats[col] = feats.get(col, 0.0) + 1.0
-        out.append(feats)
-    return out
-
-
-def _padded(feats: list[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, counts) rows in each vector's order, padded with id 0 at count 0."""
-    width = max(map(len, feats))
-    ids = np.zeros((len(feats), width), dtype=np.intp)
-    counts = np.zeros((len(feats), width))
-    for row, f in enumerate(feats):
+        rows.append(feats)
+    ids = np.zeros((len(rows), max(map(len, rows))), dtype=np.intp)
+    counts = np.zeros(ids.shape)
+    for row, f in enumerate(rows):
         ids[row, : len(f)] = list(f)
         counts[row, : len(f)] = list(f.values())
     return ids, counts
@@ -143,7 +140,7 @@ def _padded(feats: list[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
 def _logits(
     weights: np.ndarray, bias: np.ndarray, ids: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Logits of _padded rows, `weights` holding one row per id: cumsum, not a
+    """Logits of _index rows, `weights` holding one row per id: cumsum, not a
     dot product, adds the bias and then each term in the row's order."""
     terms = weights[ids] * counts[:, :, None]
     z = np.concatenate((np.broadcast_to(bias, (len(ids), 1, len(bias))), terms), axis=1)
@@ -181,9 +178,9 @@ def train(
 
     columns: dict[int, int] = {}
     keys: dict[str, int] = {}
-    ids, counts = _padded(_compact([ex.text for ex in train_examples], columns, keys))
+    ids, counts = _index([ex.text for ex in train_examples], columns, keys)
     targets = np.array([ex.soft_label for ex in train_examples], dtype=float)
-    val_ids, val_counts = _padded(_compact([text for text, _ in val], columns, keys))
+    val_ids, val_counts = _index([text for text, _ in val], columns, keys)
 
     weights = np.zeros((len(columns), n_class))
     bias = np.zeros(n_class)
@@ -233,7 +230,9 @@ def train(
 
 def predict(model: LinearModel, text: str) -> np.ndarray:
     """Class probabilities: softmax(weights . featurize(text) + bias)."""
-    return softmax(_logits(model.weights.T, model.bias, *_padded([featurize(text)]))[0])
+    columns: dict[int, int] = {}
+    ids, counts = _index([text], columns, {})
+    return softmax(_logits(model.weights[:, list(columns)].T, model.bias, ids, counts)[0])
 
 
 def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
@@ -241,8 +240,9 @@ def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
     Argmax ties break toward the lowest class index."""
     if not data:
         raise DomainError("empty evaluation set")
-    ids, counts = _padded([featurize(text) for text, _ in data])
-    preds = _logits(model.weights.T, model.bias, ids, counts).argmax(axis=1)
+    columns: dict[int, int] = {}
+    ids, counts = _index([text for text, _ in data], columns, {})
+    preds = _logits(model.weights[:, list(columns)].T, model.bias, ids, counts).argmax(axis=1)
     return sum(1 for p, (_, y) in zip(preds.tolist(), data) if p == y) / len(data)
 
 

@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 from .classifier import evaluate, load_model, save_model, train
-from .datasets import load_dataset, make_val_split, subsample
+from .datasets import load_dataset, make_val_split
 from .errors import DataError, DomainError, TrainingError
-from .harness import ExperimentConfig, load_experiment_lexicon, render_report, run_experiment
+from .harness import ExperimentConfig, load_experiment_lexicon, render_report, run_experiment, seed_splits
 from .policy import AugmentationPolicy, apply_policy, write_augmented_jsonl
 from .search import SearchConfig, optimize
 
@@ -97,14 +97,15 @@ def _cmd_search(args) -> int:
         search=SearchConfig(n_trials=args.trials, n_startup=min(5, max(1, args.trials - 1))),
     )
     data = load_dataset(args.input, args.format)
-    sub_data = subsample(data, cfg.n_train, args.seed)
-    tr, val = make_val_split(sub_data.split("train"), cfg.val_fraction, args.seed)
+    lex = load_experiment_lexicon(args.lexicon)
+    tr, val = seed_splits(data, cfg, args.seed)
+    # every input is read before the output directory is touched
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trials.jsonl", "w", encoding="utf-8") as log:
         best, history = optimize(
-            tr, val, data.n_class, cfg.space, load_experiment_lexicon(args.lexicon),
-            cfg.search, cfg.train, args.seed, log, smoothing=not args.no_label_smoothing,
+            tr, val, data.n_class, cfg.space, lex, cfg.search, cfg.train, args.seed, log,
+            smoothing=not args.no_label_smoothing,
         )
     (out / "best_policy.json").write_text(best.to_json() + "\n", encoding="utf-8")
     best_score = max(r.score for r in history)

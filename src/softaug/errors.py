@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the count check that
-raises one."""
+"""Exception types shared across the package, the package's one test of
+"integer", and the count check that raises one."""
 
 
 class SoftAugError(Exception):
@@ -18,10 +18,15 @@ class TrainingError(SoftAugError, RuntimeError):
     """Training diverged or produced a non-finite loss."""
 
 
+def is_int(value) -> bool:
+    """An int and not a bool: JSON's true and false are no counts or seeds."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_counts(obj, *names: str):
     """Raise DomainError naming the first field of `obj` in `names` whose
     value is not an integer >= 1."""
     for name in names:
         value = getattr(obj, name)
-        if not (isinstance(value, int) and value >= 1):
+        if not (is_int(value) and value >= 1):
             raise DomainError(f"{name}: {value!r} must be an integer >= 1")

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classifier import TrainConfig, evaluate, train
-from .datasets import LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
-from .errors import DomainError, SoftAugError, require_counts
+from .datasets import Example, LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
+from .errors import DomainError, SoftAugError, is_int, require_counts
 from .policy import AugmentationPolicy, PolicySpace, apply_policy
 from .search import _SEED_RANGE, SearchConfig, optimize
 from .textops import SynonymLexicon, load_bundled_lexicon, load_lexicon
@@ -33,6 +33,7 @@ __all__ = [
     "EvalReport",
     "ReportCell",
     "run_method",
+    "seed_splits",
     "run_experiment",
     "load_experiment_lexicon",
     "render_report",
@@ -76,7 +77,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_counts(self, "n_train")
-        if not all(isinstance(s, int) for s in self.seeds):
+        if not all(is_int(s) for s in self.seeds):
             raise DomainError(f"seeds: {list(self.seeds)} must be integers")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise DomainError("seeds must be non-empty and distinct")
@@ -227,6 +228,15 @@ def load_experiment_lexicon(path: str | None) -> SynonymLexicon:
     return load_bundled_lexicon() if path is None else load_lexicon(path)
 
 
+def seed_splits(
+    data: LabeledDataset, cfg: ExperimentConfig, seed: int
+) -> tuple[list[Example], list[Example]]:
+    """The (train, val) splits of `seed`: a stratified subsample of n_train
+    train examples, then a stratified val_fraction holdout carved out of it."""
+    sub = subsample(data, cfg.n_train, seed)
+    return make_val_split(sub.split("train"), cfg.val_fraction, seed)
+
+
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Full multi-seed sweep over cfg.methods. Per seed: subsample the
     train split to n_train, carve the validation holdout, run each
@@ -244,8 +254,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     scores: dict[str, list[float]] = {m: [] for m in cfg.methods}
     failures: dict[str, list[int]] = {m: [] for m in cfg.methods}
     for seed in cfg.seeds:
-        sub = subsample(data, cfg.n_train, seed)
-        tr, val = make_val_split(sub.split("train"), cfg.val_fraction, seed)
+        tr, val = seed_splits(data, cfg, seed)
         for method in cfg.methods:
             try:
                 acc = run_method(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .augment import aeda, eda
-from .errors import DomainError
+from .errors import DomainError, is_int
 from .labels import smooth_label
 from .textops import SynonymLexicon, detokenize, tokenize
 
@@ -105,7 +105,7 @@ def validate_policy(p: AugmentationPolicy) -> list[str]:
         total = sum(num[name] for name in _MIX)
         if abs(total - 1.0) > _SIMPLEX_TOL:
             violations.append(f"p_sr+p_ri+p_rs+p_rd: sum = {total}, expected 1")
-    if "n_aug" in num and not (isinstance(p.n_aug, int) and p.n_aug >= 1):
+    if "n_aug" in num and not (is_int(p.n_aug) and p.n_aug >= 1):
         violations.append(f"n_aug: {p.n_aug} must be an integer >= 1")
     return violations
 
@@ -136,7 +136,7 @@ class PolicySpace:
             if not rlo <= lo < hi <= rhi:
                 raise DomainError(f"{name}: bounds [{lo}, {hi}] need {rlo} <= lo < hi <= {rhi}")
         choices = self.n_aug_choices
-        if not choices or not all(isinstance(n, int) and n >= 1 for n in choices):
+        if not choices or not all(is_int(n) and n >= 1 for n in choices):
             raise DomainError(f"n_aug_choices: {list(choices)} need integers >= 1")
 
     @staticmethod

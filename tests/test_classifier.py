@@ -131,7 +131,7 @@ class TestTrain:
         with pytest.raises(DomainError):
             TrainConfig(learning_rate=0.0)
         for name, value in [
-            ("batch_size", 2.5), ("max_epochs", 2.5), ("patience", 1.5),
+            ("batch_size", 2.5), ("max_epochs", 2.5), ("patience", 1.5), ("batch_size", True),
             ("learning_rate", float("nan")), ("learning_rate", float("inf")),
             ("learning_rate", "x"),
         ]:
@@ -335,7 +335,7 @@ class TestEvaluate:
         words = st.sampled_from(["a", "B", "c", "dd", "e", "Ff", "g", "h"])
         text = st.lists(words, max_size=7).map(" ".join)
         pairs = data.draw(
-            st.lists(st.tuples(text, st.integers(0, n_class - 1)), min_size=1, max_size=10)
+            st.lists(st.tuples(text, st.integers(0, n_class - 1)), min_size=0, max_size=10)
         )
         pairs.append(("", data.draw(st.integers(0, n_class - 1))))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -351,6 +351,27 @@ class TestEvaluate:
             assert evaluate(model, pairs) == recount / len(pairs)
             for z, (t, _) in zip(ref, pairs):
                 assert predict(model, t).tobytes() == softmax(z).tobytes()
+
+
+    def test_terms_add_in_each_texts_own_order(self):
+        # "x y" numbers x before y; "y x" must still add y's term first.
+        # At 1e16 one unit is below the spacing of doubles, so the order of
+        # the sums decides class 1's logit: (1e16 - 1e16) + 1 = 1, but
+        # (1e16 + 1) - 1e16 = 0, which ties with class 0 and loses
+        model = LinearModel.zeros(2)
+        model.bias[1] = 1e16
+        model.weights[1, next(iter(featurize("y")))] = -1e16
+        model.weights[1, next(iter(featurize("x")))] = 1.0
+        data = [("x y", 0), ("y x", 1)]
+        assert [int(np.argmax(predict(model, t))) for t, _ in data] == [0, 1]
+        assert evaluate(model, data) == 1.0
+
+    def test_each_distinct_key_hashed_once(self, monkeypatch):
+        hashed = []
+        bucket = classifier._bucket
+        monkeypatch.setattr(classifier, "_bucket", lambda key: hashed.append(key) or bucket(key))
+        assert evaluate(LinearModel.zeros(2), [("a b", 0), ("a b", 1)]) == 0.5
+        assert sorted(hashed) == ["a", "a_b", "b"]
 
 
 class TestCheckpoint:

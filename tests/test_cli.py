@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -77,6 +78,17 @@ class TestAugmentCommand:
         assert code == 2
         assert "p_aug: 'x' is not a number" in capsys.readouterr().err
 
+    def test_boolean_n_aug_is_domain_error(self, dataset, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(dict(POLICY.to_dict(), n_aug=True)))
+        code = main([
+            "augment", "--input", str(dataset), "--policy", str(policy),
+            "--seed", "0", "--output", str(tmp_path / "o.jsonl"),
+        ])
+        assert code == 2
+        assert "n_aug: True must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_usage_error(self):
         assert main(["augment", "--seed", "1"]) == 1
         assert main(["frobnicate"]) == 1
@@ -123,6 +135,42 @@ class TestSearchCommand:
         assert code == 0
         best = json.loads((out / "best_policy.json").read_text())
         assert best["eps_ori"] == 0.0 and best["eps_aug"] == 0.0
+
+    # sha256 of (trials.jsonl, best_policy.json): any change to the splits,
+    # the search's draws or the trainer's arithmetic shows here
+    GOLDEN = {
+        (): (
+            "c596728ca08327b89eda93d28b868297b8dbdc1c2c47794b91d5774a4776209a",
+            "323a481ac43265b82ae87a7ddcad4223a0b6c88ee48e31ef7786d9e410177104",
+        ),
+        ("--no-label-smoothing",): (
+            "fd96fb1c62d59ab8d25fd4b8ca93161d7ee627ff562cd1118d01058798d11ef0",
+            "70bde34c4a1b2a585f5ede48ec759da208f4b4c2ec2dc26e10cfa46825b1c01d",
+        ),
+    }
+
+    @pytest.mark.parametrize("flags", sorted(GOLDEN))
+    def test_outputs_golden(self, dataset, tmp_path, capsys, flags):
+        out = tmp_path / "searchout"
+        code = main([
+            "search", "--input", str(dataset), "--n-train", "40", "--trials", "3",
+            "--seed", "0", *flags, "--output", str(out),
+        ])
+        assert code == 0
+        digests = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("trials.jsonl", "best_policy.json")
+        )
+        assert digests == self.GOLDEN[flags]
+
+    def test_missing_lexicon_writes_nothing(self, dataset, tmp_path, capsys):
+        out = tmp_path / "searchout"
+        code = main([
+            "search", "--input", str(dataset), "--lexicon", str(tmp_path / "nope.tsv"),
+            "--n-train", "40", "--trials", "3", "--seed", "0", "--output", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()  # no empty trials.jsonl left behind
 
 
 class TestTrainEvalCommands:
@@ -222,6 +270,9 @@ class TestCompareCommand:
             ({"search": {"runs_per_trial": 1.5}}, "runs_per_trial"),
             ({"train": {"learning_rate": float("nan")}}, "learning_rate"),
             ({"train": {"learning_rate": float("inf")}}, "learning_rate"),
+            ({"train": {"batch_size": True}}, "batch_size"),
+            ({"seeds": [True]}, "seeds"),
+            ({"space": {"n_aug_choices": [True]}}, "n_aug_choices"),
         ],
     )
     def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):

@@ -191,10 +191,10 @@ class TestRunExperiment:
             ExperimentConfig(seeds=())
         with pytest.raises(DomainError):
             ExperimentConfig(methods=("nope",))
-        for n_train in ("x", 0, 2.5, None):
+        for n_train in ("x", 0, 2.5, None, True):
             with pytest.raises(DomainError, match="n_train"):
                 ExperimentConfig(n_train=n_train)
-        for seeds in (("a",), (0, 1.5), (None,)):
+        for seeds in (("a",), (0, 1.5), (None,), (True,), (0, False)):
             with pytest.raises(DomainError, match="seeds"):
                 ExperimentConfig(seeds=seeds)
         for val_fraction in ("x", None, 0, 1, 1.5, float("nan")):

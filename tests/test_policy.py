@@ -52,6 +52,8 @@ class TestValidatePolicy:
 
     def test_n_aug_boundary(self):
         assert any("n_aug" in v for v in violations(n_aug=0))
+        # a bool is an int subclass, and JSON true would otherwise read as 1
+        assert violations(n_aug=True) == ["n_aug: True must be an integer >= 1"]
 
     def test_multiple_violations_all_reported(self):
         assert len(violations(p_aug=1.5, alpha_sr=0.9, eps_aug=0.95)) == 3
@@ -123,7 +125,7 @@ class TestPolicySpaceBounds:
         with pytest.raises(DomainError, match="weight"):
             PolicySpace(weight=bounds)
 
-    @pytest.mark.parametrize("choices", [(0,), (1, -2), (2.5,), ("a",), (1, None)])
+    @pytest.mark.parametrize("choices", [(0,), (1, -2), (2.5,), ("a",), (1, None), (True, 2)])
     def test_n_aug_choices_positive_integers(self, choices):
         with pytest.raises(DomainError, match="n_aug_choices"):
             PolicySpace(n_aug_choices=choices)

@@ -92,7 +92,7 @@ class TestSuggest:
             SearchConfig(runs_per_trial=0)
         for name, value in [
             ("n_trials", 2.5), ("n_startup", 1.5), ("n_candidates", 24.0),
-            ("runs_per_trial", 1.5), ("gamma", float("nan")),
+            ("runs_per_trial", 1.5), ("runs_per_trial", True), ("gamma", float("nan")),
         ]:
             with pytest.raises(DomainError, match=name):
                 SearchConfig(**{name: value})
