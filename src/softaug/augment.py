@@ -117,9 +117,8 @@ def eda(
     The pick (`random.Random.choices`) consumes exactly one rng draw, so
     a one-hot mix is equivalent to calling the suboperation after that
     single draw. The policy checked its mix and magnitudes when it was
-    built, so eda does not check them again.
+    built, and the suboperation rejects an empty seq, so eda checks neither.
     """
-    _require_nonempty(seq)
     p = policy
     kind = rng.choices(("sr", "ri", "rs", "rd"), (p.p_sr, p.p_ri, p.p_rs, p.p_rd))[0]
     if kind == "sr":

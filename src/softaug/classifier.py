@@ -9,21 +9,20 @@ shuffled batches: each batch is scored with the pre-batch weights, then
 the weights and the bias step once by the batch's summed gradient,
 scaled by learning_rate / len(batch); batch-mates that share a feature
 column add their steps there. Training early-stops on validation accuracy.
-Training, validation, evaluate and predict share one indexer (_index: each
-distinct key hashed once per call, buckets renumbered to dense columns) and
-one scoring routine (_logits: the bias, then each feature's term in
-first-occurrence order). featurize is the public bucket view of the counts.
+Training, validation, evaluate and predict share one indexer (_index: rows
+keyed by bucket, so a row depends only on its text; only training renumbers
+buckets to dense columns) and one scoring routine (_logits: the bias, then
+each term in first-occurrence order). featurize is the public bucket view.
 """
 from __future__ import annotations
 
-import numbers
 import random
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, TrainingError, require_counts
+from .errors import DataError, DomainError, TrainingError, is_real, require_counts
 from .labels import soft_cross_entropy, softmax
 from .policy import AugmentedExample
 
@@ -99,7 +98,7 @@ class TrainConfig:
 
     def __post_init__(self):
         lr = self.learning_rate
-        if not (isinstance(lr, numbers.Real) and np.isfinite(lr) and lr > 0):
+        if not (is_real(lr) and lr > 0):
             raise DomainError(f"learning_rate: {lr!r} must be a finite number > 0")
         require_counts(self, "batch_size", "max_epochs", "patience")
         if self.patience > self.max_epochs:
@@ -113,21 +112,19 @@ class EpochStats:
     val_accuracy: float
 
 
-def _index(
-    texts: list[str], columns: dict[int, int], keys: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, counts) rows of each text's featurize() counts, in first-occurrence
-    order and padded with id 0 at count 0, every bucket renumbered to a dense
-    column. `columns` maps bucket -> column and grows by one for each new
-    bucket; `keys` maps key -> column, so each distinct key is hashed once."""
+def _index(texts: list[str], keys: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(buckets, counts) rows of each text's featurize() counts, in
+    first-occurrence order and padded with bucket 0 at count 0. `keys` maps
+    key -> bucket and grows by each new key, so each distinct key is hashed
+    once."""
     rows = []
     for text in texts:
         feats: dict[int, float] = {}
         for key in _keys(text):
-            col = keys.get(key)
-            if col is None:
-                col = keys[key] = columns.setdefault(_bucket(key), len(columns))
-            feats[col] = feats.get(col, 0.0) + 1.0
+            bucket = keys.get(key)
+            if bucket is None:
+                bucket = keys[key] = _bucket(key)
+            feats[bucket] = feats.get(bucket, 0.0) + 1.0
         rows.append(feats)
     ids = np.zeros((len(rows), max(map(len, rows))), dtype=np.intp)
     counts = np.zeros(ids.shape)
@@ -162,9 +159,9 @@ def train(
     without a validation accuracy improvement and returns the best
     snapshot (ties resolve to the earliest epoch).
 
-    Training runs on the buckets seen in train+val, renumbered to dense
-    columns; the returned model holds them in its 2^18 buckets and is zero
-    elsewhere. Batches and validation are scored with _logits, so their
+    Training runs on the buckets of the train and val rows, renumbered to
+    dense columns; the returned model holds them in its 2^18 buckets and is
+    zero elsewhere. Batches and validation are scored with _logits, so their
     logits match the returned model's bit for bit."""
     if not train_examples:
         raise DomainError("empty training set")
@@ -176,13 +173,15 @@ def train(
                 f"soft label has {len(ex.soft_label)} classes, expected {n_class}"
             )
 
-    columns: dict[int, int] = {}
     keys: dict[str, int] = {}
-    ids, counts = _index([ex.text for ex in train_examples], columns, keys)
+    rows, counts = _index([ex.text for ex in train_examples], keys)
     targets = np.array([ex.soft_label for ex in train_examples], dtype=float)
-    val_ids, val_counts = _index([text for text, _ in val], columns, keys)
+    val_rows, val_counts = _index([text for text, _ in val], keys)
+    buckets, columns = np.unique(np.concatenate((rows, val_rows), axis=None), return_inverse=True)
+    ids = columns[: rows.size].reshape(rows.shape)
+    val_ids = columns[rows.size :].reshape(val_rows.shape)
 
-    weights = np.zeros((len(columns), n_class))
+    weights = np.zeros((len(buckets), n_class))
     bias = np.zeros(n_class)
     best = (weights, bias)
     best_acc = -1.0
@@ -223,16 +222,15 @@ def train(
                 break
 
     model = LinearModel.zeros(n_class)
-    model.weights[:, list(columns)] = best[0].T
+    model.weights[:, buckets] = best[0].T
     model.bias = best[1]
     return model, history
 
 
 def predict(model: LinearModel, text: str) -> np.ndarray:
     """Class probabilities: softmax(weights . featurize(text) + bias)."""
-    columns: dict[int, int] = {}
-    ids, counts = _index([text], columns, {})
-    return softmax(_logits(model.weights[:, list(columns)].T, model.bias, ids, counts)[0])
+    ids, counts = _index([text], {})
+    return softmax(_logits(model.weights.T, model.bias, ids, counts)[0])
 
 
 def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
@@ -240,9 +238,8 @@ def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
     Argmax ties break toward the lowest class index."""
     if not data:
         raise DomainError("empty evaluation set")
-    columns: dict[int, int] = {}
-    ids, counts = _index([text for text, _ in data], columns, {})
-    preds = _logits(model.weights[:, list(columns)].T, model.bias, ids, counts).argmax(axis=1)
+    ids, counts = _index([text for text, _ in data], {})
+    preds = _logits(model.weights.T, model.bias, ids, counts).argmax(axis=1)
     return sum(1 for p, (_, y) in zip(preds.tolist(), data) if p == y) / len(data)
 
 

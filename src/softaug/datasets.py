@@ -126,8 +126,8 @@ def _read_label_names(sidecar: Path) -> list[str]:
 
 def _largest_remainder_quotas(counts: list[int], n: int) -> list[int]:
     """Integer quotas proportional to counts summing to n, largest-remainder
-    rounding with ties toward the lower class index, each nonempty class
-    getting >= 1 when n allows."""
+    rounding with ties toward the lower class index, then each nonempty
+    class lifted to >= 1; n must be at least the number of nonempty classes."""
     total = sum(counts)
     exact = [n * c / total for c in counts]
     quotas = [int(q) for q in exact]
@@ -135,30 +135,34 @@ def _largest_remainder_quotas(counts: list[int], n: int) -> list[int]:
     by_remainder = sorted(range(len(counts)), key=lambda c: (-(exact[c] - quotas[c]), c))
     for c in by_remainder[:leftover]:
         quotas[c] += 1
-    # lift empty-quota classes when feasible, taking from the largest quota
-    nonempty = [c for c in range(len(counts)) if counts[c] > 0]
-    if n >= len(nonempty):
-        for c in nonempty:
-            while quotas[c] < 1:
-                donor = max(range(len(counts)), key=lambda d: (quotas[d], -d))
-                quotas[donor] -= 1
-                quotas[c] += 1
+    # lift empty-quota classes, taking from the largest quota
+    for c in range(len(counts)):
+        while counts[c] > 0 and quotas[c] < 1:
+            donor = max(range(len(counts)), key=lambda d: (quotas[d], -d))
+            quotas[donor] -= 1
+            quotas[c] += 1
     for c, q in enumerate(quotas):
         if q > counts[c]:
             raise DomainError(f"class {c} has only {counts[c]} examples, need {q}")
     return quotas
 
 
-def _stratified_pick(
-    examples: list[Example], n_class: int, quotas: list[int], rng: random.Random
+def _stratified_split(
+    examples: list[Example], n: int, seed: int
 ) -> tuple[list[Example], list[Example]]:
-    """Pick quota[c] examples per class without replacement; returns
-    (picked, rest), both preserving original order."""
-    by_class: dict[int, list[int]] = {c: [] for c in range(n_class)}
+    """Draw n examples with class-proportional quotas, without replacement,
+    from random.Random(seed); returns (picked, rest), both in original order.
+    Raises DomainError when n is below the number of classes present."""
+    by_class: dict[int, list[int]] = {}
     for i, (_, y) in enumerate(examples):
-        by_class[y].append(i)
+        by_class.setdefault(y, []).append(i)
+    if n < len(by_class):
+        raise DomainError(f"cannot stratify: n={n} < {len(by_class)} classes present")
+    counts = [len(by_class.get(c, ())) for c in range(max(by_class) + 1)]
+    quotas = _largest_remainder_quotas(counts, n)
+    rng = random.Random(seed)
     chosen: set[int] = set()
-    for c in range(n_class):
+    for c in sorted(by_class):  # an absent class draws nothing
         chosen.update(rng.sample(by_class[c], quotas[c]))
     picked = [ex for i, ex in enumerate(examples) if i in chosen]
     rest = [ex for i, ex in enumerate(examples) if i not in chosen]
@@ -171,37 +175,25 @@ def subsample(data: LabeledDataset, n: int, seed: int) -> LabeledDataset:
     train = data.split("train")
     if n > len(train):
         raise DomainError(f"n={n} exceeds train size {len(train)}")
-    counts = [0] * data.n_class
-    for _, y in train:
-        counts[y] += 1
-    present = sum(1 for c in counts if c > 0)
-    if n < present:
-        raise DomainError(f"cannot stratify: n={n} < {present} classes present")
-    quotas = _largest_remainder_quotas(counts, n)
-    picked, _ = _stratified_pick(train, data.n_class, quotas, random.Random(seed))
     splits = dict(data.splits)
-    splits["train"] = picked
+    splits["train"], _ = _stratified_split(train, n, seed)
     return LabeledDataset(data.name, data.n_class, splits, data.label_names)
 
 
 def make_val_split(
     train: list[Example], fraction: float, seed: int
 ) -> tuple[list[Example], list[Example]]:
-    """Stratified holdout of round(fraction*N) examples as validation."""
+    """Stratified holdout of round(fraction*N) examples as validation, at
+    least one per class present."""
     if not 0.0 < fraction < 1.0:
         raise DomainError(f"fraction must be in (0, 1), got {fraction}")
     if not train:
         raise DomainError("empty train list")
-    n_class = max(y for _, y in train) + 1
-    counts = [0] * n_class
-    for _, y in train:
-        counts[y] += 1
-    present = sum(1 for c in counts if c > 0)
+    present = len({y for _, y in train})
     n_val = max(present, int(fraction * len(train) + 0.5))
     if n_val >= len(train):
         raise DomainError("holdout would leave no training examples")
-    quotas = _largest_remainder_quotas(counts, n_val)
-    val, rest = _stratified_pick(train, n_class, quotas, random.Random(seed))
+    val, rest = _stratified_split(train, n_val, seed)
     return rest, val
 
 

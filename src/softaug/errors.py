@@ -1,5 +1,7 @@
-"""Exception types shared across the package, the package's one test of
-"integer", and the count check that raises one."""
+"""Exception types shared across the package, the package's one test each
+of "integer" and "real number", and the count check that raises one."""
+import numbers
+import sys
 
 
 class SoftAugError(Exception):
@@ -21,6 +23,13 @@ class TrainingError(SoftAugError, RuntimeError):
 def is_int(value) -> bool:
     """An int and not a bool: JSON's true and false are no counts or seeds."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number, finite as a float, and not a bool: JSON's true is no rate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return abs(value) <= sys.float_info.max  # NaN and infinities are not
 
 
 def require_counts(obj, *names: str):

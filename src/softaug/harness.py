@@ -3,25 +3,24 @@
 For each seed the harness redraws a stratified low-resource subsample,
 carves a validation holdout out of it, runs every requested method, and
 evaluates on the untouched test split. Cells are aggregated as mean and
-sample (n-1) standard deviation over seeds, in percent, and rendered as a
-methods-by-datasets grid with `mean±std` cells: the best mean per column
-gets a trailing `*`, cells below the baseline row a trailing `!`.
+sample (n-1) standard deviation over seeds, in percent. A run makes one
+(dataset, n_train) column, rendered as one `mean±std` cell per method:
+the best mean gets a trailing `*`, cells below the baseline row a `!`.
 """
 from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import random
 import traceback
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .classifier import TrainConfig, evaluate, train
 from .datasets import Example, LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
-from .errors import DomainError, SoftAugError, is_int, require_counts
+from .errors import DomainError, SoftAugError, is_int, is_real, require_counts
 from .policy import AugmentationPolicy, PolicySpace, apply_policy
 from .search import _SEED_RANGE, SearchConfig, optimize
 from .textops import SynonymLexicon, load_bundled_lexicon, load_lexicon
@@ -81,7 +80,7 @@ class ExperimentConfig:
             raise DomainError(f"seeds: {list(self.seeds)} must be integers")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise DomainError("seeds must be non-empty and distinct")
-        if not (isinstance(self.val_fraction, numbers.Real) and 0 < self.val_fraction < 1):
+        if not (is_real(self.val_fraction) and 0 < self.val_fraction < 1):
             raise DomainError(f"val_fraction: {self.val_fraction!r} must be a number in (0, 1)")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown or not self.methods:
@@ -133,35 +132,28 @@ class ReportCell:
 @dataclass
 class EvalReport:
     cells: list[ReportCell]
-    std_kind: str = "sample"  # n-1
-    incomplete: bool = False
+
+    @property
+    def incomplete(self) -> bool:
+        """Whether some (method, seed) run failed and is left out of its cell."""
+        return any(c.failed_seeds for c in self.cells)
 
     def to_dict(self) -> dict:
         return {
-            "std_kind": self.std_kind,
+            "std_kind": "sample",  # n-1
             "incomplete": self.incomplete,
-            "cells": [
-                {
-                    "method": c.method,
-                    "dataset": c.dataset,
-                    "n_train": c.n_train,
-                    "mean": c.mean,
-                    "std": c.std,
-                    "per_seed": list(c.per_seed),
-                    "failed_seeds": list(c.failed_seeds),
-                }
-                for c in self.cells
-            ],
+            "cells": [asdict(c) for c in self.cells],
         }
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
+    """Mean and sample (n-1) std: both NaN for no values, std 0 for one."""
+    if not values:
+        return float("nan"), float("nan")
+    mean = sum(values) / len(values)
+    if len(values) < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var)
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
 def _fixed_policy(method: str, fixed: FixedMethodParams) -> AugmentationPolicy:
@@ -269,22 +261,11 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
                 continue
             scores[method].append(acc * 100.0)
 
-    cells = []
-    for method in cfg.methods:
-        per_seed = scores[method]
-        mean, std = _mean_std(per_seed) if per_seed else (float("nan"), float("nan"))
-        cells.append(
-            ReportCell(
-                method=method,
-                dataset=data.name,
-                n_train=cfg.n_train,
-                mean=mean,
-                std=std,
-                per_seed=tuple(per_seed),
-                failed_seeds=tuple(failures[method]),
-            )
-        )
-    report = EvalReport(cells=cells, incomplete=any(failures[m] for m in cfg.methods))
+    report = EvalReport([
+        ReportCell(m, data.name, cfg.n_train, *_mean_std(scores[m]), tuple(scores[m]),
+                   tuple(failures[m]))
+        for m in cfg.methods
+    ])
 
     if out_dir:
         _atomic_write(
@@ -306,40 +287,33 @@ def format_cell(mean: float, std: float) -> str:
 
 
 def render_report(report: EvalReport) -> str:
-    """Plain-text grid, methods as rows and (dataset, n_train) as columns.
-    Best mean per column is starred; cells whose mean falls below the
-    baseline row carry a trailing `!`."""
-    columns = sorted({(c.dataset, c.n_train) for c in report.cells})
-    methods = list(dict.fromkeys(c.method for c in report.cells))
-    by_key = {(c.method, c.dataset, c.n_train): c for c in report.cells}
+    """Plain-text table of the one (dataset, n_train) column a run makes,
+    one row per method. The best mean is starred; cells whose mean falls
+    below the baseline row carry a trailing `!`. A report with no cells, or
+    with cells from more than one column, raises DomainError."""
+    columns = {(c.dataset, c.n_train) for c in report.cells}
+    if len(columns) != 1:
+        raise DomainError(f"a report renders one (dataset, n_train) column, not {sorted(columns)}")
+    [(dataset, n_train)] = columns
+    by_method = {c.method: c for c in report.cells}
+    best = max((c.mean for c in report.cells if c.per_seed), default=None)
+    base = by_method.get("baseline")
 
-    def cell_text(method, col) -> str:
-        c = by_key.get((method, *col))
-        if c is None or not c.per_seed:
-            return "failed" if c is not None else "-"
+    def cell_text(c: ReportCell) -> str:
+        if not c.per_seed:
+            return "failed"
         text = format_cell(c.mean, c.std)
-        best = max(
-            x.mean for x in report.cells
-            if (x.dataset, x.n_train) == col and x.per_seed
-        )
         if c.mean == best:
             text += " *"
-        base = by_key.get(("baseline", *col))
         if base is not None and base.per_seed and c.mean < base.mean:
             text += " !"
         return text
 
-    headers = ["method"] + [f"{d} (n={n})" for d, n in columns]
-    rows = [[m] + [cell_text(m, col) for col in columns] for m in methods]
-    widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-    lines.append("")
-    lines.append("cells: mean±std over seeds (sample std); * best mean in column; ! below baseline")
+    rows = [["method", f"{dataset} (n={n_train})"]] + [[m, cell_text(c)] for m, c in by_method.items()]
+    widths = [max(len(row[i]) for row in rows) for i in (0, 1)]
+    rows.insert(1, ["-" * w for w in widths])
+    lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in rows]
+    lines += ["", "cells: mean±std over seeds (sample std); * best mean in column; ! below baseline"]
     if report.incomplete:
         lines.append("WARNING: some (method, seed) cells failed and were excluded")
     return "\n".join(lines) + "\n"

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-import numbers
 import random
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .augment import aeda, eda
-from .errors import DomainError, is_int
+from .errors import DomainError, is_int, is_real
 from .labels import smooth_label
 from .textops import SynonymLexicon, detokenize, tokenize
 
@@ -86,15 +85,16 @@ _MIX = ("p_sr", "p_ri", "p_rs", "p_rd")
 
 def validate_policy(p: AugmentationPolicy) -> list[str]:
     """Every violated invariant, named by field; empty list means valid.
-    A field that is not a real number, NaN included, is a violation, and
-    its other checks are then skipped. AugmentationPolicy raises these on
-    construction, so a policy that exists is valid."""
+    A field that is not a finite real number (NaN, infinities and booleans
+    included) is a violation, and its other checks are then skipped.
+    AugmentationPolicy raises these on construction, so a policy that
+    exists is valid."""
     violations = []
     num = {}
     for name in AugmentationPolicy.__dataclass_fields__:
         value = getattr(p, name)
-        if isinstance(value, numbers.Real) and value == value:  # NaN != NaN
-            num[name] = value
+        if is_real(value) or (name == "n_aug" and isinstance(value, bool)):
+            num[name] = value  # a bool n_aug fails the integer check below
         else:
             violations.append(f"{name}: {value!r} is not a number")
     for name, (lo, hi) in _RANGES.items():
@@ -152,6 +152,8 @@ class PolicySpace:
                     kwargs[key] = tuple(val)
                 else:
                     lo, hi = val
+                    if not (is_real(lo) and is_real(hi)):
+                        raise TypeError("bounds must be finite numbers")
                     kwargs[key] = (float(lo), float(hi))
             except (TypeError, ValueError) as e:
                 raise DomainError(f"space.{key}: cannot read {val!r} ({e})") from e

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .classifier import TrainConfig, train
-from .errors import DomainError, require_counts
+from .errors import DomainError, is_real, require_counts
 from .policy import AugmentationPolicy, PolicySpace, _renormalize, apply_policy, sample_policy
 from .textops import SynonymLexicon
 
@@ -74,8 +74,8 @@ class SearchConfig:
         # degenerate one-trial budgets are allowed (pure startup)
         if self.n_trials > 1 and self.n_startup >= self.n_trials:
             raise DomainError("need n_startup < n_trials")
-        if not 0.0 < self.gamma < 1.0:
-            raise DomainError("gamma must be in (0, 1)")
+        if not (is_real(self.gamma) and 0.0 < self.gamma < 1.0):
+            raise DomainError(f"gamma: {self.gamma!r} must be a number in (0, 1)")
 
 
 # --- policy <-> 12-vector for the per-dimension density model ------------

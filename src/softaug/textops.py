@@ -56,9 +56,6 @@ class SynonymLexicon:
         """Synonyms in file order; [] for absent words."""
         return list(self._entries.get(word.lower(), ()))
 
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -182,6 +182,13 @@ class TestEda:
         for op in ("sr", "ri", "rs", "rd"):
             assert 0.24 <= counts[op] / 10_000 <= 0.26, counts
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_empty_raises_whichever_suboperation(self, k):
+        # the suboperation eda dispatches to rejects the empty sentence
+        params = eda_policy(0.1, 0.1, 0.1, 0.1, tuple(float(i == k) for i in range(4)))
+        with pytest.raises(DomainError, match="empty sentence"):
+            eda([], params, RICH_LEX, random.Random(0))
+
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
             eda_policy(0.1, 0.1, 0.1, 0.1, (0.5, 0.5, 0.5, 0.5))

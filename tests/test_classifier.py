@@ -133,7 +133,7 @@ class TestTrain:
         for name, value in [
             ("batch_size", 2.5), ("max_epochs", 2.5), ("patience", 1.5), ("batch_size", True),
             ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-            ("learning_rate", "x"),
+            ("learning_rate", "x"), ("learning_rate", True), ("learning_rate", 10**400),
         ]:
             with pytest.raises(DomainError, match=name):
                 TrainConfig(**{name: value})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from softaug import cli
+from softaug.classifier import load_model
 from softaug.cli import main
 from softaug.errors import TrainingError
 from softaug.policy import AugmentationPolicy
@@ -87,6 +88,18 @@ class TestAugmentCommand:
         ])
         assert code == 2
         assert "n_aug: True must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_boolean_real_fields_are_domain_error(self, dataset, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(dict(POLICY.to_dict(), p_aug=True, eps_ori=False)))
+        code = main([
+            "augment", "--input", str(dataset), "--policy", str(policy),
+            "--seed", "0", "--output", str(tmp_path / "o.jsonl"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "p_aug: True is not a number" in err and "eps_ori: False is not a number" in err
         assert not (tmp_path / "o.jsonl").exists()
 
     def test_usage_error(self):
@@ -185,6 +198,26 @@ class TestTrainEvalCommands:
         acc = float(capsys.readouterr().out.strip())
         assert 0.0 <= acc <= 1.0
 
+    # sha256 of the checkpoint's weights and bias, then the train and eval
+    # stdout, for seed 0 on this dataset (the holdout comes from make_val_split)
+    TRAIN_EVAL_GOLDEN = (
+        "a8618d3222827d6be882f08c5d42c56976848bfae535ce65ef7aa29691b54cb0",
+        "trained 6 epochs, best val accuracy 1.0000 -> MODEL\n",
+        "1.0000\n",
+    )
+
+    def test_train_eval_golden(self, dataset, policy_file, tmp_path, capsys):
+        model = tmp_path / "model.npz"
+        assert main([
+            "train", "--input", str(dataset), "--policy", str(policy_file),
+            "--seed", "0", "--output", str(model),
+        ]) == 0
+        trained = capsys.readouterr().out.replace(str(model), "MODEL")
+        assert main(["eval", "--model", str(model), "--input", str(dataset)]) == 0
+        m = load_model(model)
+        digest = hashlib.sha256(m.weights.tobytes() + m.bias.tobytes()).hexdigest()
+        assert (digest, trained, capsys.readouterr().out) == self.TRAIN_EVAL_GOLDEN
+
     def test_eval_malformed_checkpoint_is_data_error(self, dataset, tmp_path, capsys):
         model = tmp_path / "model.npz"
         np.savez_compressed(
@@ -273,6 +306,12 @@ class TestCompareCommand:
             ({"train": {"batch_size": True}}, "batch_size"),
             ({"seeds": [True]}, "seeds"),
             ({"space": {"n_aug_choices": [True]}}, "n_aug_choices"),
+            ({"train": {"learning_rate": True}}, "learning_rate"),
+            ({"space": {"p_aug": ["0.2", True]}}, "p_aug"),
+            ({"space": {"p_aug": [0.2, True]}}, "p_aug"),
+            ({"search": {"gamma": "x"}}, "gamma"),
+            ({"search": {"gamma": True}}, "gamma"),
+            ({"val_fraction": True}, "val_fraction"),
         ],
     )
     def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):

@@ -161,6 +161,18 @@ class TestMakeValSplit:
         with pytest.raises(DomainError):
             make_val_split([("a", 0)], 0.5, seed=0)
 
+    def test_present_class_floor_golden(self):
+        # round(0.2 * 10) = 2 < 3 classes present, so n_val rises to 3, one
+        # per class; which ones pins the stratified draw's rng stream
+        train = (
+            [(f"a{i}", 0) for i in range(6)]
+            + [(f"b{i}", 1) for i in range(2)]
+            + [(f"c{i}", 2) for i in range(2)]
+        )
+        tr, val = make_val_split(train, 0.2, seed=4)
+        assert val == [("a1", 0), ("b1", 1), ("c0", 2)]
+        assert tr == [ex for ex in train if ex not in val]
+
 
 class TestSyntheticReviews:
     def test_shape_and_balance(self):

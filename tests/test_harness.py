@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from softaug import harness
 from softaug.classifier import TrainConfig
-from softaug.datasets import LabeledDataset
+from softaug.datasets import LabeledDataset, make_synthetic_reviews
 from softaug.errors import DomainError, TrainingError
 from softaug.harness import (
     EvalReport,
@@ -16,6 +17,7 @@ from softaug.harness import (
     render_report,
     run_experiment,
     run_method,
+    seed_splits,
 )
 from softaug.search import SearchConfig
 from softaug.textops import load_bundled_lexicon
@@ -167,6 +169,41 @@ class TestRunExperiment:
         assert (out / "report.json").read_text() == expected
         assert sorted(f.name for f in out.glob("failure_*")) == ["failure_eda_seed0.txt"]
 
+    # sha256 of (report.json, report.txt) with eda failing on seed 0 and
+    # softeda_fixed on every seed: pins a partly failed cell, a "failed"
+    # cell with its NaN mean, the WARNING line and the incomplete flag
+    FAILED_REPORT_GOLDEN = (
+        "a4ca595b86083e89d2e7fa7c8835424726b60e7350d0c8ca0d941f0eefc8615f",
+        "b4bc6379a63f12d48c7726df0ca69a68f99dd74f19d64de5f7e474c27669fb20",
+    )
+
+    def test_failed_cells_report_golden(self, tmp_path, monkeypatch):
+        calls = []
+
+        def train_failing(*args):
+            calls.append(args)
+            if len(calls) in (2, 3, 6):  # seed 0: eda, softeda_fixed; seed 1: softeda_fixed
+                raise TrainingError("forced failure")
+            return real_train(*args)
+
+        real_train = harness.train
+        monkeypatch.setattr(harness, "train", train_failing)
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(
+            dataset_path=str(tiny_dataset_file(tmp_path)),
+            methods=("baseline", "eda", "softeda_fixed"),
+            seeds=(0, 1),
+            n_train=20,
+            train=TrainConfig(max_epochs=2, patience=2),
+            output_dir=str(out),
+        )
+        run_experiment(cfg)
+        digests = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("report.json", "report.txt")
+        )
+        assert digests == self.FAILED_REPORT_GOLDEN
+
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # only package errors become failed cells; anything else is a bug
         def train_type_error(*args):
@@ -197,7 +234,7 @@ class TestRunExperiment:
         for seeds in (("a",), (0, 1.5), (None,), (True,), (0, False)):
             with pytest.raises(DomainError, match="seeds"):
                 ExperimentConfig(seeds=seeds)
-        for val_fraction in ("x", None, 0, 1, 1.5, float("nan")):
+        for val_fraction in ("x", None, 0, 1, 1.5, float("nan"), True, "0.2"):
             with pytest.raises(DomainError, match="val_fraction"):
                 ExperimentConfig(val_fraction=val_fraction)
 
@@ -226,6 +263,24 @@ class TestRunExperiment:
         assert cfg.search.n_trials == 4
         assert cfg.space.p_aug == (0.2, 0.9)
         assert cfg.train.max_epochs == 5
+
+
+class TestSeedSplits:
+    # sha256 of json.dumps([train, val]) for each seed's splits of the
+    # bundled surrogate at n_train=100
+    GOLDEN = {
+        0: "2d5572010517aaa918c59711621cac83b9d42e1a948eea54b4f15418d57049c7",
+        1: "dfdfa98ee4e5fe0abe20d76cfd301dac0e964d836c87d4f9dd1145fed9c4d666",
+        2: "0df9c18674bb58285a622420423ab3f2f012a87856daffeabcbec477b852c4f2",
+        3: "6caf68d86feb9c1c488ae77c762cb1ef70735dc3c2d69c738667586110392f03",
+        4: "b43e5e51dd094a4a96b38ed1c883c295cf57073eef4db87f720ac5d648618404",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden(self, seed):
+        tr, val = seed_splits(make_synthetic_reviews(), ExperimentConfig(n_train=100), seed)
+        assert len(tr) == 80 and len(val) == 20
+        assert hashlib.sha256(json.dumps([tr, val]).encode()).hexdigest() == self.GOLDEN[seed]
 
 
 def report_fixture():
@@ -259,6 +314,16 @@ class TestRenderReport:
         report = EvalReport(cells=[ReportCell("baseline", "d", 100, 50.0, 0.0, (50.0,))])
         text = render_report(report)
         assert "50.00±0.00 *" in text
+
+    @pytest.mark.parametrize("columns", [(), (("a", 100), ("b", 100)), (("a", 100), ("a", 50))])
+    def test_one_column_or_error(self, columns):
+        # a run makes one (dataset, n_train) column; anything else is not a run's report
+        cells = [
+            ReportCell(method, dataset, n_train, 50.0, 0.0, (50.0,))
+            for method, (dataset, n_train) in zip(("baseline", "eda"), columns)
+        ]
+        with pytest.raises(DomainError, match=r"one \(dataset, n_train\) column"):
+            render_report(EvalReport(cells))
 
     def test_tied_best_both_marked(self):
         report = EvalReport(

@@ -59,9 +59,16 @@ class TestValidatePolicy:
         assert len(violations(p_aug=1.5, alpha_sr=0.9, eps_aug=0.95)) == 3
 
     @pytest.mark.parametrize("field", ["p_aug", "p_sr", "alpha_rd", "n_aug", "eps_aug"])
-    @pytest.mark.parametrize("value", ["x", None, [0.5], float("nan")])
+    @pytest.mark.parametrize("value", ["x", None, [0.5], float("nan"), float("inf"), "0.5"])
     def test_non_numeric_field_is_a_violation(self, field, value):
         assert violations(**{field: value}) == [f"{field}: {value!r} is not a number"]
+
+    def test_boolean_real_fields_are_violations(self):
+        # a bool is a numbers.Real, and JSON true would otherwise read as 1.0
+        assert violations(p_aug=True, eps_ori=False) == [
+            "p_aug: True is not a number",
+            "eps_ori: False is not a number",
+        ]
 
     def test_non_numeric_field_does_not_hide_other_violations(self):
         assert violations(p_sr="x", eps_ori=0.7) == [
@@ -146,6 +153,9 @@ class TestPolicySpaceBounds:
             {"eps_aug": None},
             {"n_aug_choices": ["a"]},
             {"n_aug_choices": 4},
+            {"p_aug": ["0.2", True]},
+            {"p_aug": [0.2, True]},
+            {"eps_aug": [0, float("inf")]},
         ],
     )
     def test_from_dict_rejects_malformed(self, d):

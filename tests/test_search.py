@@ -93,6 +93,7 @@ class TestSuggest:
         for name, value in [
             ("n_trials", 2.5), ("n_startup", 1.5), ("n_candidates", 24.0),
             ("runs_per_trial", 1.5), ("runs_per_trial", True), ("gamma", float("nan")),
+            ("gamma", "x"), ("gamma", True), ("gamma", None),
         ]:
             with pytest.raises(DomainError, match=name):
                 SearchConfig(**{name: value})
