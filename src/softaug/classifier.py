@@ -12,7 +12,11 @@ column add their steps there. Training early-stops on validation accuracy.
 Training, validation, evaluate and predict share one indexer (_index: rows
 keyed by bucket, so a row depends only on its text; only training renumbers
 buckets to dense columns) and one scoring routine (_logits: the bias, then
-each term in first-occurrence order). featurize is the public bucket view.
+each term in first-occurrence order). The indexer hashes in numpy, one step
+per byte position over a padded byte matrix of the batch's distinct tokens;
+a distinct bigram a_b continues a's 64-bit state over "_" and b, so no
+bigram string is built. fnv1a64 and featurize are the public scalar
+reference the indexer matches bucket for bucket.
 """
 from __future__ import annotations
 
@@ -112,25 +116,71 @@ class EpochStats:
     val_accuracy: float
 
 
-def _index(texts: list[str], keys: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+def _fnv1a64_rows(h: np.ndarray, data: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """FNV-1a 64 states `h` continued over each row of the uint8 matrix
+    `data`, up to the row's length: one xor and one wrapping multiply per
+    byte position, kept on the rows still that long."""
+    for j in range(data.shape[1]):
+        h = np.where(lengths > j, (h ^ data[:, j]) * np.uint64(_FNV_PRIME), h)
+    return h
+
+
+def _key_codes(texts: list[str]) -> np.ndarray:
+    """text * N_BUCKETS + bucket of every featurize key of the texts, text
+    by text in _keys order. Each distinct token is hashed once, and each
+    distinct bigram a_b once, continuing a's 64-bit state over b"_" and b."""
+    tokens = [text.lower().split() for text in texts]
+    flat = [t for toks in tokens for t in toks]
+    ids = {t: i for i, t in enumerate(dict.fromkeys(flat))}
+    codes = np.fromiter(map(ids.__getitem__, flat), np.intp, len(flat))
+    n_tok = np.fromiter(map(len, tokens), np.intp, len(texts))
+    text_of = np.repeat(np.arange(len(texts)), n_tok)
+
+    # distinct tokens' UTF-8 bytes, zero-padded; the lengths come from the
+    # bytes, since numpy drops trailing NULs from its S items
+    raw = [t.encode("utf-8") for t in ids]
+    lengths = np.fromiter(map(len, raw), np.intp, len(raw))
+    data = np.array(raw, dtype=np.bytes_)
+    data = data.view(np.uint8).reshape(len(raw), data.itemsize)
+    states = _fnv1a64_rows(np.full(len(raw), _FNV_OFFSET, np.uint64), data, lengths)
+
+    # a bigram starts at each token that the next token's text shares
+    starts = np.flatnonzero(text_of[:-1] == text_of[1:])
+    pairs, pair_of = np.unique(codes[starts] * len(raw) + codes[starts + 1], return_inverse=True)
+    a, b = np.divmod(pairs, len(raw))
+    h = (states[a] ^ np.uint64(ord("_"))) * np.uint64(_FNV_PRIME)
+    pair_states = _fnv1a64_rows(h, data[b], lengths[b])
+
+    # each text's keys are its unigrams, then its bigrams: a unigram comes
+    # after the earlier texts' bigrams, a bigram after the unigrams of its
+    # own and the earlier texts
+    n_bi = np.maximum(n_tok - 1, 0)
+    uni_at = np.arange(len(flat)) + (np.cumsum(n_bi) - n_bi)[text_of]
+    bi_at = np.arange(len(starts)) + np.cumsum(n_tok)[text_of[starts]]
+    mask = np.uint64(N_BUCKETS - 1)
+    keys = np.repeat(np.arange(len(texts)) * N_BUCKETS, n_tok + n_bi)
+    keys[uni_at] += (states[codes] & mask).astype(np.intp)
+    keys[bi_at] += (pair_states[pair_of] & mask).astype(np.intp)
+    return keys
+
+
+def _index(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(buckets, counts) rows of each text's featurize() counts, in
-    first-occurrence order and padded with bucket 0 at count 0. `keys` maps
-    key -> bucket and grows by each new key, so each distinct key is hashed
-    once."""
-    rows = []
-    for text in texts:
-        feats: dict[int, float] = {}
-        for key in _keys(text):
-            bucket = keys.get(key)
-            if bucket is None:
-                bucket = keys[key] = _bucket(key)
-            feats[bucket] = feats.get(bucket, 0.0) + 1.0
-        rows.append(feats)
-    ids = np.zeros((len(rows), max(map(len, rows))), dtype=np.intp)
+    first-occurrence order and padded with bucket 0 at count 0."""
+    code = _key_codes(texts)
+    # a stable sort groups each (text, bucket) with its first position first
+    order = np.argsort(code, kind="stable")
+    group = np.flatnonzero(np.diff(code[order], prepend=-1))
+    tally = np.zeros(len(code))
+    tally[order[group]] = np.diff(group, append=len(code))
+    first = np.flatnonzero(tally)
+    rows, buckets = np.divmod(code[first], N_BUCKETS)
+    per_row = np.bincount(rows, minlength=len(texts))
+    col = np.arange(len(first)) - (np.cumsum(per_row) - per_row)[rows]
+    ids = np.zeros((len(texts), per_row.max(initial=0)), np.intp)
     counts = np.zeros(ids.shape)
-    for row, f in enumerate(rows):
-        ids[row, : len(f)] = list(f)
-        counts[row, : len(f)] = list(f.values())
+    ids[rows, col] = buckets
+    counts[rows, col] = tally[first]
     return ids, counts
 
 
@@ -173,10 +223,9 @@ def train(
                 f"soft label has {len(ex.soft_label)} classes, expected {n_class}"
             )
 
-    keys: dict[str, int] = {}
-    rows, counts = _index([ex.text for ex in train_examples], keys)
+    rows, counts = _index([ex.text for ex in train_examples])
     targets = np.array([ex.soft_label for ex in train_examples], dtype=float)
-    val_rows, val_counts = _index([text for text, _ in val], keys)
+    val_rows, val_counts = _index([text for text, _ in val])
     buckets, columns = np.unique(np.concatenate((rows, val_rows), axis=None), return_inverse=True)
     ids = columns[: rows.size].reshape(rows.shape)
     val_ids = columns[rows.size :].reshape(val_rows.shape)
@@ -229,7 +278,7 @@ def train(
 
 def predict(model: LinearModel, text: str) -> np.ndarray:
     """Class probabilities: softmax(weights . featurize(text) + bias)."""
-    ids, counts = _index([text], {})
+    ids, counts = _index([text])
     return softmax(_logits(model.weights.T, model.bias, ids, counts)[0])
 
 
@@ -238,7 +287,7 @@ def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
     Argmax ties break toward the lowest class index."""
     if not data:
         raise DomainError("empty evaluation set")
-    ids, counts = _index([text for text, _ in data], {})
+    ids, counts = _index([text for text, _ in data])
     preds = _logits(model.weights.T, model.bias, ids, counts).argmax(axis=1)
     return sum(1 for p, (_, y) in zip(preds.tolist(), data) if p == y) / len(data)
 

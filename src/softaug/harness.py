@@ -83,8 +83,10 @@ class ExperimentConfig:
         if not (is_real(self.val_fraction) and 0 < self.val_fraction < 1):
             raise DomainError(f"val_fraction: {self.val_fraction!r} must be a number in (0, 1)")
         unknown = [m for m in self.methods if m not in METHODS]
-        if unknown or not self.methods:
-            raise DomainError(f"methods: {list(self.methods)} must be a non-empty list of {list(METHODS)}")
+        if unknown or not self.methods or len(set(self.methods)) != len(self.methods):
+            raise DomainError(
+                f"methods: {list(self.methods)} must be a non-empty list of distinct names from {list(METHODS)}"
+            )
         for name in ("dataset_path", "dataset_format", "lexicon_path", "output_dir"):
             value = getattr(self, name)
             if not isinstance(value, (str, type(None))):

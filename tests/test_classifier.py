@@ -1,9 +1,10 @@
+import hashlib
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softaug import classifier
@@ -19,9 +20,12 @@ from softaug.classifier import (
     save_model,
     train,
 )
+from softaug.datasets import make_synthetic_reviews
 from softaug.errors import DataError, DomainError
+from softaug.harness import ExperimentConfig, _fixed_policy, seed_splits
 from softaug.labels import smooth_label, soft_cross_entropy, softmax
-from softaug.policy import AugmentedExample
+from softaug.policy import AugmentedExample, apply_policy
+from softaug.textops import load_bundled_lexicon
 
 
 def hard_examples(pairs):
@@ -62,6 +66,70 @@ class TestFeaturize:
         # published FNV-1a 64 test vectors
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+
+# multi-byte UTF-8, "İ" (two code points lowercased), NUL inside and at the
+# end of a token, and tokens over 64 bytes
+TOKENS = st.one_of(
+    st.text(st.sampled_from(["a", "B", "é", "İ", "日", "\x00", "_"]), min_size=1, max_size=4),
+    st.text(st.sampled_from(["x", "é", "\x00"]), min_size=40, max_size=70),
+)
+TEXTS = st.one_of(
+    st.lists(TOKENS, max_size=8).map(" ".join),
+    st.text(max_size=20),
+)
+
+
+class TestIndex:
+    def test_vector_hasher_reference_values(self):
+        # published FNV-1a 64 test vectors; the empty row's padding is not hashed
+        data = np.array([b"", b"a"]).view(np.uint8).reshape(2, 1)
+        states = classifier._fnv1a64_rows(
+            np.full(2, fnv1a64(b""), np.uint64), data, np.array([0, 1])
+        )
+        assert states.tolist() == [0xCBF29CE484222325, 0xAF63DC4C8601EC8C]
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(TEXTS, min_size=1, max_size=6), few_buckets=st.booleans())
+    @example(texts=["", " \t"], few_buckets=False)
+    @example(texts=["İx a\x00b c\x00 " + "é" * 40, "İx c\x00"], few_buckets=True)
+    def test_rows_equal_featurize(self, texts, few_buckets):
+        with pytest.MonkeyPatch.context() as mp:
+            if few_buckets:
+                mp.setattr(classifier, "N_BUCKETS", 16)
+            ids, counts = classifier._index(texts)
+            feats = [list(featurize(t).items()) for t in texts]
+        width = max(map(len, feats))
+        assert ids.shape == counts.shape == (len(texts), width)
+        assert ids.dtype == np.intp and counts.dtype == float
+        for row, pairs in enumerate(feats):
+            padding = [(0, 0.0)] * (width - len(pairs))
+            assert list(zip(ids[row].tolist(), counts[row].tolist())) == pairs + padding
+
+    # sha256 of ids.tobytes() + counts.tobytes(), recorded with the per-key
+    # dict indexer that the vectorized one replaced
+    GOLDEN = {
+        "train": "900ff05d8d3a786036580633eb5b78c216858d4ce97f5a526da13a83ea8e52d4",
+        "test": "1005270516b4ac2ef3708ba696e91112f9be919981c09a7aa5094473a9463b9c",
+        "softeda_fixed": "ca61d33014c4fc13f8bf383a09de4b7e6991a6eddb3868a5e41fb7680626ccd4",
+    }
+
+    def test_golden_rows(self):
+        data = make_synthetic_reviews()
+        cfg = ExperimentConfig()
+        train_split, _ = seed_splits(data, cfg, 0)
+        augmented = apply_policy(
+            train_split, data.n_class, _fixed_policy("softeda_fixed", cfg.fixed),
+            load_bundled_lexicon(), random.Random(0),
+        )
+        inputs = {
+            "train": [text for text, _ in data.split("train")],
+            "test": [text for text, _ in data.split("test")],
+            "softeda_fixed": [ex.text for ex in augmented],
+        }
+        for name, texts in inputs.items():
+            ids, counts = classifier._index(texts)
+            assert hashlib.sha256(ids.tobytes() + counts.tobytes()).hexdigest() == self.GOLDEN[name]
 
 
 class TestPredict:
@@ -367,9 +435,21 @@ class TestEvaluate:
         assert evaluate(model, data) == 1.0
 
     def test_each_distinct_key_hashed_once(self, monkeypatch):
+        # a hashed row is named by its start state: the offset basis starts a
+        # token, and a key's state continued over "_" starts a bigram
         hashed = []
-        bucket = classifier._bucket
-        monkeypatch.setattr(classifier, "_bucket", lambda key: hashed.append(key) or bucket(key))
+        prefix = {fnv1a64(b""): ""}
+        hash_rows = classifier._fnv1a64_rows
+
+        def spy(h, data, lengths):
+            states = hash_rows(h, data, lengths)
+            for start, row, n, state in zip(h.tolist(), data.tolist(), lengths.tolist(), states.tolist()):
+                key = prefix[start] + bytes(row[:n]).decode()
+                hashed.append(key)
+                prefix[(state ^ ord("_")) * 0x100000001B3 % 2**64] = key + "_"
+            return states
+
+        monkeypatch.setattr(classifier, "_fnv1a64_rows", spy)
         assert evaluate(LinearModel.zeros(2), [("a b", 0), ("a b", 1)]) == 0.5
         assert sorted(hashed) == ["a", "a_b", "b"]
 

@@ -312,6 +312,7 @@ class TestCompareCommand:
             ({"search": {"gamma": "x"}}, "gamma"),
             ({"search": {"gamma": True}}, "gamma"),
             ({"val_fraction": True}, "val_fraction"),
+            ({"methods": ["baseline", "baseline"]}, "methods"),
         ],
     )
     def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):

@@ -228,6 +228,8 @@ class TestRunExperiment:
             ExperimentConfig(seeds=())
         with pytest.raises(DomainError):
             ExperimentConfig(methods=("nope",))
+        with pytest.raises(DomainError, match="methods"):
+            ExperimentConfig.from_dict({"methods": ["baseline", "baseline"]})
         for n_train in ("x", 0, 2.5, None, True):
             with pytest.raises(DomainError, match="n_train"):
                 ExperimentConfig(n_train=n_train)
