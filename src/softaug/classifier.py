@@ -1,9 +1,10 @@
 """Hashed bag-of-n-grams softmax linear classifier.
 
-Features are unigrams and bigrams of the lowercased, whitespace-split
-text, hashed with byte-level FNV-1a 64 masked to 18 bits, so the feature
-map is identical across runs and platforms. Weights start at zero:
-randomness enters training only through shuffling and augmentation.
+Features are the lowercased whitespace tokens of a text, then each
+adjacent pair a, b as the bigram a_b, hashed with byte-level FNV-1a 64
+masked to 18 bits, so the feature map is identical across runs and
+platforms. Weights start at zero: randomness enters training only
+through shuffling and augmentation.
 Training minimizes soft-target cross entropy by mini-batch SGD over
 shuffled batches: each batch is scored with the pre-batch weights, then
 the weights and the bias step once by the batch's summed gradient,
@@ -15,8 +16,8 @@ buckets to dense columns) and one scoring routine (_logits: the bias, then
 each term in first-occurrence order). The indexer hashes in numpy, one step
 per byte position over a padded byte matrix of the batch's distinct tokens;
 a distinct bigram a_b continues a's 64-bit state over "_" and b, so no
-bigram string is built. fnv1a64 and featurize are the public scalar
-reference the indexer matches bucket for bucket.
+bigram string is built. featurize(text) is the indexer's row for one text,
+so it is by construction the counts the model reads.
 """
 from __future__ import annotations
 
@@ -32,11 +33,9 @@ from .policy import AugmentedExample
 
 __all__ = [
     "N_BUCKETS",
-    "FeatureVector",
     "LinearModel",
     "TrainConfig",
     "EpochStats",
-    "fnv1a64",
     "featurize",
     "train",
     "predict",
@@ -49,37 +48,6 @@ N_BUCKETS = 1 << 18
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
-
-FeatureVector = dict[int, float]  # bucket index -> positive count
-
-
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit over raw bytes."""
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
-
-def _bucket(key: str) -> int:
-    return fnv1a64(key.encode("utf-8")) & (N_BUCKETS - 1)
-
-
-def _keys(text: str) -> list[str]:
-    """The lowercased whitespace tokens, then their bigrams joined with '_'."""
-    tokens = text.lower().split()
-    return tokens + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]
-
-
-def featurize(text: str) -> FeatureVector:
-    """Unigram + bigram counts hashed into 2^18 buckets. Bigram keys join
-    adjacent tokens with '_'. Empty text gives an empty vector."""
-    feats: FeatureVector = {}
-    for key in _keys(text):
-        idx = _bucket(key)
-        feats[idx] = feats.get(idx, 0.0) + 1.0
-    return feats
 
 
 @dataclass
@@ -126,8 +94,10 @@ def _fnv1a64_rows(h: np.ndarray, data: np.ndarray, lengths: np.ndarray) -> np.nd
 
 
 def _key_codes(texts: list[str]) -> np.ndarray:
-    """text * N_BUCKETS + bucket of every featurize key of the texts, text
-    by text in _keys order. Each distinct token is hashed once, and each
+    """text * N_BUCKETS + bucket of every key of the texts, text by text.
+    A text's keys are its lowercased whitespace tokens, then each adjacent
+    pair a, b as the bigram a_b; a key's bucket is its UTF-8 bytes' FNV-1a
+    64 masked to N_BUCKETS. Each distinct token is hashed once, and each
     distinct bigram a_b once, continuing a's 64-bit state over b"_" and b."""
     tokens = [text.lower().split() for text in texts]
     flat = [t for toks in tokens for t in toks]
@@ -165,8 +135,8 @@ def _key_codes(texts: list[str]) -> np.ndarray:
 
 
 def _index(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(buckets, counts) rows of each text's featurize() counts, in
-    first-occurrence order and padded with bucket 0 at count 0."""
+    """(buckets, counts) rows of each text's key counts, in first-occurrence
+    order and padded with bucket 0 at count 0."""
     code = _key_codes(texts)
     # a stable sort groups each (text, bucket) with its first position first
     order = np.argsort(code, kind="stable")
@@ -182,6 +152,13 @@ def _index(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     ids[rows, col] = buckets
     counts[rows, col] = tally[first]
     return ids, counts
+
+
+def featurize(text: str) -> dict[int, float]:
+    """The text's bucket -> count map, in first-occurrence order: its _index
+    row without padding. Empty text gives an empty map."""
+    ids, counts = _index([text])
+    return dict(zip(ids[0].tolist(), counts[0].tolist()))
 
 
 def _logits(

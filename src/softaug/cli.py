@@ -67,12 +67,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_policy(path) -> AugmentationPolicy:
+def _read_json(path, what: str, parse):
+    """parse() of the JSON in the file at `path`. A file that cannot be
+    opened, is not UTF-8 or not JSON, or lacks a key or holds a value of
+    the wrong type raises DataError naming it."""
     try:
         with open(path, encoding="utf-8") as f:
-            return AugmentationPolicy.from_dict(json.load(f))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
-        raise DataError(f"cannot read policy file {path}: {e}")
+            return parse(json.load(f))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+        raise DataError(f"cannot read {what} {path}: {e}")
+
+
+def _read_policy(path) -> AugmentationPolicy:
+    return _read_json(path, "policy file", AugmentationPolicy.from_dict)
 
 
 def _eval_split(data):
@@ -140,11 +147,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_json_file(args.config)
-    except (OSError, json.JSONDecodeError, TypeError) as e:
-        raise DataError(f"cannot read config {args.config}: {e}")
-    report = run_experiment(cfg)
+    report = run_experiment(_read_json(args.config, "config", ExperimentConfig.from_dict))
     print(render_report(report), end="")
     return 0
 

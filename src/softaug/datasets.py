@@ -61,29 +61,10 @@ def load_dataset(path, fmt: str | None = None, name: str | None = None) -> Label
         label_map = {lbl: i for i, lbl in enumerate(_read_label_names(sidecar))}
         fixed_labels = True
 
-    rows: list[tuple[str, str, str]] = []  # (text, label string, split)
-    if fmt == "jsonl":
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise DataError(f"{path.name} line {lineno}: invalid JSON ({e.msg})")
-                if "text" not in obj or "label" not in obj:
-                    raise DataError(f"{path.name} line {lineno}: missing text/label")
-                rows.append((str(obj["text"]), str(obj["label"]), str(obj.get("split", "train"))))
-    else:
-        delim = "," if fmt == "csv" else "\t"
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f, delimiter=delim)
-            if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
-                raise DataError(f"{path.name}: header must include text,label")
-            for lineno, row in enumerate(reader, start=2):
-                if row["text"] is None or row["label"] is None:
-                    raise DataError(f"{path.name} line {lineno}: missing field")
-                rows.append((row["text"], row["label"], row.get("split") or "train"))
+    try:
+        rows = _read_rows(path, fmt)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path.name}: not UTF-8 text ({e})") from None
     if not rows:
         raise DataError(f"{path.name}: no examples")
 
@@ -106,6 +87,36 @@ def load_dataset(path, fmt: str | None = None, name: str | None = None) -> Label
     )
 
 
+def _read_rows(path: Path, fmt: str) -> list[tuple[str, str, str]]:
+    """The (text, label string, split) rows of a dataset file."""
+    rows = []
+    if fmt == "jsonl":
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DataError(f"{path.name} line {lineno}: invalid JSON ({e.msg})")
+                if not isinstance(obj, dict):
+                    raise DataError(f"{path.name} line {lineno}: expected a JSON object")
+                if "text" not in obj or "label" not in obj:
+                    raise DataError(f"{path.name} line {lineno}: missing text/label")
+                rows.append((str(obj["text"]), str(obj["label"]), str(obj.get("split", "train"))))
+    else:
+        delim = "," if fmt == "csv" else "\t"
+        with open(path, encoding="utf-8", newline="") as f:
+            reader = csv.DictReader(f, delimiter=delim)
+            if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
+                raise DataError(f"{path.name}: header must include text,label")
+            for lineno, row in enumerate(reader, start=2):
+                if row["text"] is None or row["label"] is None:
+                    raise DataError(f"{path.name} line {lineno}: missing field")
+                rows.append((row["text"], row["label"], row.get("split") or "train"))
+    return rows
+
+
 def _read_label_names(sidecar: Path) -> list[str]:
     """The label names of a `.labels.json` sidecar: a JSON list of distinct
     strings, in class-index order."""
@@ -113,6 +124,8 @@ def _read_label_names(sidecar: Path) -> list[str]:
         names = json.loads(sidecar.read_text("utf-8"))
     except json.JSONDecodeError as e:
         raise DataError(f"{sidecar.name}: invalid JSON ({e.msg})")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{sidecar.name}: not UTF-8 text ({e})") from None
     if not isinstance(names, list):
         raise DataError(f"{sidecar.name}: expected a JSON list of label names")
     for name in names:

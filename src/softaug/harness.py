@@ -94,6 +94,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """A `d` that is not a dict raises DomainError."""
+        if not isinstance(d, dict):
+            raise DomainError(f"config: {d!r} is not an object of experiment fields")
         kwargs = dict(d)
         if "fixed" in kwargs:
             kwargs["fixed"] = FixedMethodParams(**kwargs["fixed"])
@@ -113,11 +116,6 @@ class ExperimentConfig:
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return ExperimentConfig(**kwargs)
-
-    @staticmethod
-    def from_json_file(path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as f:
-            return ExperimentConfig.from_dict(json.load(f))
 
 
 @dataclass(frozen=True)

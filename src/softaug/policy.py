@@ -24,7 +24,6 @@ __all__ = [
     "AugmentationPolicy",
     "PolicySpace",
     "AugmentedExample",
-    "validate_policy",
     "sample_policy",
     "apply_policy",
 ]
@@ -32,6 +31,15 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _SIMPLEX_TOL = 1e-9
+
+# inclusive bounds of the bounded fields
+_RANGES = {
+    "p_aug": (0, 1),
+    **dict.fromkeys(("alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd"), (0, 0.5)),
+    "eps_ori": (0, 0.5),
+    "eps_aug": (0, 0.9),
+}
+_MIX = ("p_sr", "p_ri", "p_rs", "p_rd")
 
 
 @dataclass(frozen=True)
@@ -50,9 +58,30 @@ class AugmentationPolicy:
     eps_aug: float
 
     def __post_init__(self):
-        # the one check of the invariants: every construction path
-        # (from_dict, sample_policy, dataclasses.replace, ...) comes here
-        violations = validate_policy(self)
+        """The one check of the invariants: every construction path
+        (from_dict, sample_policy, dataclasses.replace, ...) comes here, so
+        a policy that exists is valid. Every violated invariant is named by
+        field in the DomainError and listed in its `violations`. A field
+        that is not a finite real number (NaN, infinities and booleans
+        included) is a violation, and its other checks are then skipped."""
+        violations = []
+        num = {}
+        for name in AugmentationPolicy.__dataclass_fields__:
+            value = getattr(self, name)
+            if is_real(value) or (name == "n_aug" and isinstance(value, bool)):
+                num[name] = value  # a bool n_aug fails the integer check below
+            else:
+                violations.append(f"{name}: {value!r} is not a number")
+        for name, (lo, hi) in _RANGES.items():
+            if name in num and not lo <= num[name] <= hi:
+                violations.append(f"{name}: {num[name]} not in [{lo}, {hi}]")
+        violations += [f"{name}: {num[name]} is negative" for name in _MIX if num.get(name, 0) < 0]
+        if all(name in num for name in _MIX):
+            total = sum(num[name] for name in _MIX)
+            if abs(total - 1.0) > _SIMPLEX_TOL:
+                violations.append(f"p_sr+p_ri+p_rs+p_rd: sum = {total}, expected 1")
+        if "n_aug" in num and not (is_int(self.n_aug) and self.n_aug >= 1):
+            violations.append(f"n_aug: {self.n_aug} must be an integer >= 1")
         if violations:
             error = DomainError("invalid policy: " + "; ".join(violations))
             error.violations = violations
@@ -71,43 +100,6 @@ class AugmentationPolicy:
     @staticmethod
     def from_json(s: str) -> "AugmentationPolicy":
         return AugmentationPolicy.from_dict(json.loads(s))
-
-
-# inclusive bounds of the bounded fields
-_RANGES = {
-    "p_aug": (0, 1),
-    **dict.fromkeys(("alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd"), (0, 0.5)),
-    "eps_ori": (0, 0.5),
-    "eps_aug": (0, 0.9),
-}
-_MIX = ("p_sr", "p_ri", "p_rs", "p_rd")
-
-
-def validate_policy(p: AugmentationPolicy) -> list[str]:
-    """Every violated invariant, named by field; empty list means valid.
-    A field that is not a finite real number (NaN, infinities and booleans
-    included) is a violation, and its other checks are then skipped.
-    AugmentationPolicy raises these on construction, so a policy that
-    exists is valid."""
-    violations = []
-    num = {}
-    for name in AugmentationPolicy.__dataclass_fields__:
-        value = getattr(p, name)
-        if is_real(value) or (name == "n_aug" and isinstance(value, bool)):
-            num[name] = value  # a bool n_aug fails the integer check below
-        else:
-            violations.append(f"{name}: {value!r} is not a number")
-    for name, (lo, hi) in _RANGES.items():
-        if name in num and not lo <= num[name] <= hi:
-            violations.append(f"{name}: {num[name]} not in [{lo}, {hi}]")
-    violations += [f"{name}: {num[name]} is negative" for name in _MIX if num.get(name, 0) < 0]
-    if all(name in num for name in _MIX):
-        total = sum(num[name] for name in _MIX)
-        if abs(total - 1.0) > _SIMPLEX_TOL:
-            violations.append(f"p_sr+p_ri+p_rs+p_rd: sum = {total}, expected 1")
-    if "n_aug" in num and not (is_int(p.n_aug) and p.n_aug >= 1):
-        violations.append(f"n_aug: {p.n_aug} must be an integer >= 1")
-    return violations
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,8 @@ def load_lexicon(source) -> SynonymLexicon:
     lines and blank lines are ignored. Headwords are lowercased, duplicate
     headwords merge by synonym-list union, and self-synonyms are dropped.
 
-    Raises DataError naming the line number for malformed lines.
+    Raises DataError naming the line number for malformed lines, and naming
+    the file for bytes that are not UTF-8.
     """
     if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
         with open(source, "rb") as f:
@@ -75,7 +76,11 @@ def load_lexicon(source) -> SynonymLexicon:
     if isinstance(source, io.TextIOBase):
         lines = source.read().splitlines()
     else:
-        lines = source.read().decode("utf-8").splitlines()
+        try:
+            lines = source.read().decode("utf-8").splitlines()
+        except UnicodeDecodeError as e:
+            name = getattr(source, "name", "stream")
+            raise DataError(f"lexicon {name}: not UTF-8 text ({e})") from None
 
     entries: dict[str, list[str]] = {}
     for lineno, raw in enumerate(lines, start=1):

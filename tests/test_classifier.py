@@ -14,7 +14,6 @@ from softaug.classifier import (
     TrainConfig,
     evaluate,
     featurize,
-    fnv1a64,
     load_model,
     predict,
     save_model,
@@ -62,6 +61,10 @@ class TestFeaturize:
         feats = featurize("some words for hashing into buckets here")
         assert all(0 <= idx < N_BUCKETS for idx in feats)
 
+    def test_is_the_one_text_index_row(self):
+        assert featurize("a b a") == scalar_featurize("a b a")
+        assert list(featurize("b a b")) == list(scalar_featurize("b a b"))
+
     def test_fnv1a64_reference_values(self):
         # published FNV-1a 64 test vectors
         assert fnv1a64(b"") == 0xCBF29CE484222325
@@ -98,7 +101,7 @@ class TestIndex:
             if few_buckets:
                 mp.setattr(classifier, "N_BUCKETS", 16)
             ids, counts = classifier._index(texts)
-            feats = [list(featurize(t).items()) for t in texts]
+            feats = [list(scalar_featurize(t).items()) for t in texts]
         width = max(map(len, feats))
         assert ids.shape == counts.shape == (len(texts), width)
         assert ids.dtype == np.intp and counts.dtype == float
@@ -207,9 +210,30 @@ class TestTrain:
                 TrainConfig(**{name: value})
 
 
+def fnv1a64(data: bytes) -> int:
+    """Reference FNV-1a 64 over raw bytes, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) % 2**64
+    return h
+
+
+def scalar_featurize(text):
+    """Reference feature map, key by key: the lowercased whitespace tokens,
+    then their bigrams joined with '_', each hashed with fnv1a64 into
+    classifier.N_BUCKETS (read per call, so a monkeypatch applies) and
+    counted in first-occurrence order."""
+    tokens = text.lower().split()
+    feats = {}
+    for key in tokens + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]:
+        idx = fnv1a64(key.encode("utf-8")) & (classifier.N_BUCKETS - 1)
+        feats[idx] = feats.get(idx, 0.0) + 1.0
+    return feats
+
+
 def loop_logits(model, feats):
     """Reference logits: the bias plus each feature's term, one at a time
-    in featurize's order."""
+    in the feature map's order."""
     z = model.bias.copy()
     for idx, count in feats.items():
         z += model.weights[:, idx] * count
@@ -228,9 +252,9 @@ def dense_train(train_examples, val, n_class, cfg, rng, batched=False):
     match it. With batched=False each example is scored after its
     batch-mates' steps (the per-example rule), which `train` matches at
     batch_size=1."""
-    feats = [featurize(ex.text) for ex in train_examples]
+    feats = [scalar_featurize(ex.text) for ex in train_examples]
     targets = [np.asarray(ex.soft_label, dtype=float) for ex in train_examples]
-    val_feats = [(featurize(text), y) for text, y in val]
+    val_feats = [(scalar_featurize(text), y) for text, y in val]
     model = LinearModel.zeros(n_class)
     best, best_acc, stale, history = copy_model(model), -1.0, 0, []
     order = list(range(len(train_examples)))
@@ -325,7 +349,7 @@ class TestTrainSemantics:
         model, _ = train(examples, val, 3, self.GOLDEN_CFG, random.Random(5))
         seen = np.zeros(N_BUCKETS, dtype=bool)
         for text in [ex.text for ex in examples] + [text for text, _ in val]:
-            seen[list(featurize(text))] = True
+            seen[list(scalar_featurize(text))] = True
         assert not model.weights[:, ~seen].any()
         assert model.weights[:, seen].any()
 
@@ -336,7 +360,7 @@ class TestTrainSemantics:
     @pytest.mark.parametrize("seed", range(3))
     def test_bucket_collisions_merge_like_featurize(self, monkeypatch, seed):
         # with 16 buckets most keys collide; a collision must add counts
-        # into one column, exactly as featurize adds them into one bucket
+        # into one column, exactly as scalar_featurize adds them into one bucket
         monkeypatch.setattr(classifier, "N_BUCKETS", 16)
         examples, val = golden_fixture()
         assert_same_training(examples, val, 3, self.GOLDEN_CFG, seed)
@@ -414,7 +438,7 @@ class TestEvaluate:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(classifier, "N_BUCKETS", 16)
             model = LinearModel(draw((n_class, 16)), draw(n_class), n_class)
-            ref = [loop_logits(model, featurize(t)) for t, _ in pairs]
+            ref = [loop_logits(model, scalar_featurize(t)) for t, _ in pairs]
             recount = sum(int(np.argmax(z)) == y for z, (_, y) in zip(ref, pairs))
             assert evaluate(model, pairs) == recount / len(pairs)
             for z, (t, _) in zip(ref, pairs):
@@ -428,8 +452,8 @@ class TestEvaluate:
         # (1e16 + 1) - 1e16 = 0, which ties with class 0 and loses
         model = LinearModel.zeros(2)
         model.bias[1] = 1e16
-        model.weights[1, next(iter(featurize("y")))] = -1e16
-        model.weights[1, next(iter(featurize("x")))] = 1.0
+        model.weights[1, next(iter(scalar_featurize("y")))] = -1e16
+        model.weights[1, next(iter(scalar_featurize("x")))] = 1.0
         data = [("x y", 0), ("y x", 1)]
         assert [int(np.argmax(predict(model, t))) for t, _ in data] == [0, 1]
         assert evaluate(model, data) == 1.0

@@ -69,6 +69,18 @@ class TestAugmentCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, name", [("--input", "bad.csv"), ("--lexicon", "bad.tsv"), ("--policy", "bad.json")]
+    )
+    def test_non_utf8_file_is_data_error(self, dataset, policy_file, tmp_path, capsys, flag, name):
+        bad = tmp_path / name
+        bad.write_bytes(b"text,label\n\xff,0\n")
+        args = {"--input": str(dataset), "--policy": str(policy_file), flag: str(bad)}
+        argv = ["augment", *[x for pair in args.items() for x in pair]]
+        assert main(argv + ["--seed", "0", "--output", str(tmp_path / "o.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+
     def test_non_numeric_policy_field_is_domain_error(self, dataset, tmp_path, capsys):
         policy = tmp_path / "policy.json"
         policy.write_text(json.dumps(dict(POLICY.to_dict(), p_aug="x")))
@@ -279,6 +291,14 @@ class TestCompareCommand:
         path.write_text("not json")
         assert main(["compare", "--config", str(path)]) == 2
 
+    def test_non_utf8_config_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"methods": ["\xff"]}')
+        assert main(["compare", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config") and "bad.json" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "config, field",
         [
@@ -313,11 +333,17 @@ class TestCompareCommand:
             ({"search": {"gamma": True}}, "gamma"),
             ({"val_fraction": True}, "val_fraction"),
             ({"methods": ["baseline", "baseline"]}, "methods"),
+            # a top level that is not an object: the whole document
+            ("abc", "config"),
+            ([], "config"),
+            ([["n_train", 7]], "config"),
         ],
     )
     def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):
         path = tmp_path / "exp.json"
-        path.write_text(json.dumps({"methods": ["ours"], "seeds": [0], **config}))
+        if isinstance(config, dict):
+            config = {"methods": ["ours"], "seeds": [0], **config}
+        path.write_text(json.dumps(config))
         assert main(["compare", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err

@@ -74,6 +74,31 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("line", ["5", '"text label"', '["text", "label"]'])
+    def test_jsonl_line_not_an_object_names_line(self, tmp_path, line):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "a", "label": "x"}\n' + line + "\n")
+        with pytest.raises(DataError, match="line 2: expected a JSON object"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [("d.csv", b"text,label\ncaf\xe9,x\n"), ("d.jsonl", b'{"text": "caf\xe9", "label": "x"}\n')],
+        ids=["csv", "jsonl"],
+    )
+    def test_non_utf8_file_names_it(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)  # Latin-1 e-acute
+        with pytest.raises(DataError, match=f"{name}: not UTF-8"):
+            load_dataset(path)
+
+    def test_non_utf8_label_sidecar_names_it(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "a", "label": "pos"}\n')
+        (tmp_path / "d.jsonl.labels.json").write_bytes(b'["pos", "\xff"]')
+        with pytest.raises(DataError, match="d.jsonl.labels.json: not UTF-8"):
+            load_dataset(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("")

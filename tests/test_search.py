@@ -8,7 +8,7 @@ import pytest
 
 from softaug.classifier import TrainConfig
 from softaug.errors import DomainError
-from softaug.policy import PolicySpace, sample_policy, validate_policy
+from softaug.policy import PolicySpace, sample_policy
 from softaug.search import SearchConfig, TrialRecord, objective, optimize, suggest
 from softaug.textops import load_bundled_lexicon
 
@@ -52,15 +52,13 @@ def synthetic_history(space, n, score_fn, seed=0):
 class TestSuggest:
     def test_startup_returns_valid_prior_draw(self):
         cfg = SearchConfig()
-        p = suggest([], SPACE, cfg, random.Random(0))
-        assert validate_policy(p) == []
+        suggest([], SPACE, cfg, random.Random(0))  # construction raises on an invalid draw
 
     def test_tpe_branch_returns_valid_policy(self):
         history = synthetic_history(SPACE, 30, lambda p: -((p.p_aug - 0.7) ** 2))
         cfg = SearchConfig()
         for seed in range(20):
-            p = suggest(history, SPACE, cfg, random.Random(seed))
-            assert validate_policy(p) == []
+            suggest(history, SPACE, cfg, random.Random(seed))  # construction raises on an invalid draw
 
     def test_smoothing_clamp_in_both_branches(self):
         # trials 0-1 are prior draws, trials 2-4 TPE proposals
@@ -133,7 +131,6 @@ class TestOptimize:
         assert max(r.score for r in log) == next(
             r.score for r in log if r.policy == best
         )
-        assert all(validate_policy(r.policy) == [] for r in log)
 
     def test_reproducible_trial_log(self):
         _, log1 = optimize(TRAIN, VAL, 2, SPACE, LEX, FAST, FAST_TRAIN, 0)

@@ -76,6 +76,12 @@ class TestLoadLexicon:
         with pytest.raises(DataError, match="line 1"):
             lex_from("good\tgreat,,fine")
 
+    def test_non_utf8_file_names_it(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"good\tgreat\n\xff\tfine\n")
+        with pytest.raises(DataError, match="bad.tsv: not UTF-8"):
+            load_lexicon(path)
+
 
 # a word the lexicon format stores unchanged: non-empty, lowercase, no
 # whitespace (so no line break), no comma, not starting a comment
