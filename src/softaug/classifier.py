@@ -10,14 +10,25 @@ shuffled batches: each batch is scored with the pre-batch weights, then
 the weights and the bias step once by the batch's summed gradient,
 scaled by learning_rate / len(batch); batch-mates that share a feature
 column add their steps there. Training early-stops on validation accuracy.
+One trainer, train_runs, trains k runs in lockstep (train is its k=1 call;
+a search trial trains its runs through it): all runs' texts and the val
+split are indexed in one call, each run owns a disjoint block of dense
+columns in one weight matrix, and each step takes one gather, one softmax
+and one flat 1-D scatter-add (np.add.at at column * n_class + class) over
+the batches of the runs still going. Each run keeps its own shuffle rng,
+early-stop state, best snapshot and bias step, and every cell gets its adds
+in the order a training of its own would give it, so a run's results equal
+its own training's bit for bit; padding adds exact zeros to its run's
+bucket-0 column.
 Training, validation, evaluate and predict share one indexer (_index: rows
 keyed by bucket, so a row depends only on its text; only training renumbers
-buckets to dense columns) and one scoring routine (_logits: the bias, then
-each term in first-occurrence order). The indexer hashes in numpy, one step
-per byte position over a padded byte matrix of the batch's distinct tokens;
-a distinct bigram a_b continues a's 64-bit state over "_" and b, so no
-bigram string is built. featurize(text) is the indexer's row for one text,
-so it is by construction the counts the model reads.
+buckets to dense columns) and one scoring routine (_logits: the bias plus
+the first term, then each further term in first-occurrence order). The
+indexer hashes in numpy, one step per byte position over a padded byte
+matrix of the batch's distinct tokens; a distinct bigram a_b continues a's
+64-bit state over "_" and b, so no bigram string is built. featurize(text)
+is the indexer's row for one text, so it is by construction the counts the
+model reads.
 """
 from __future__ import annotations
 
@@ -38,6 +49,7 @@ __all__ = [
     "EpochStats",
     "featurize",
     "train",
+    "train_runs",
     "predict",
     "evaluate",
     "save_model",
@@ -164,11 +176,131 @@ def featurize(text: str) -> dict[int, float]:
 def _logits(
     weights: np.ndarray, bias: np.ndarray, ids: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Logits of _index rows, `weights` holding one row per id: cumsum, not a
-    dot product, adds the bias and then each term in the row's order."""
+    """Logits of _index rows, `weights` holding one row per id and `bias`
+    one row per class or per row: the bias joins the first term, then
+    cumsum, not a dot product, adds each further term in the row's order.
+    A row of width 0 gives the bias."""
+    if ids.shape[1] == 0:
+        return np.broadcast_to(bias, (len(ids), weights.shape[1])).copy()
     terms = weights[ids] * counts[:, :, None]
-    z = np.concatenate((np.broadcast_to(bias, (len(ids), 1, len(bias))), terms), axis=1)
-    return z.cumsum(axis=1)[:, -1]
+    terms[:, 0] += bias
+    return terms.cumsum(axis=1)[:, -1]
+
+
+def train_runs(
+    runs: list[list[AugmentedExample]],
+    val: list[tuple[str, int]],
+    n_class: int,
+    cfg: TrainConfig,
+    rngs: list[random.Random],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[EpochStats]]]:
+    """Train one model per run in lockstep, run i shuffling with rngs[i]:
+    mini-batch SGD with per-epoch shuffling, where each batch is scored
+    with the pre-batch weights, then one scatter-add steps every feature
+    column by -learning_rate / len(batch) * count * gradient, example by
+    example and feature by feature, and the bias steps once by the batch's
+    summed gradient at the same scale. A run early-stops after `patience`
+    epochs without a validation accuracy improvement and keeps its best
+    snapshot (ties resolve to the earliest epoch).
+
+    Each run trains on its own block of dense columns, one per bucket of its
+    train and val rows, in one weight matrix; each step gathers, scores and
+    scatters the batches of the runs still going at once, so every run's
+    history, snapshot and rng end state are those of its own training
+    alone. Returns per run (buckets, weights, bias, history): the best
+    snapshot's weights, one row per bucket, and its bias."""
+    if not runs or not all(runs):
+        raise DomainError("empty training set")
+    if not val:
+        raise DomainError("empty validation set")
+    if len(rngs) != len(runs):
+        raise DomainError(f"{len(rngs)} rngs for {len(runs)} runs")
+    examples = [ex for run in runs for ex in run]
+    for ex in examples:
+        if len(ex.soft_label) != n_class:
+            raise DomainError(
+                f"soft label has {len(ex.soft_label)} classes, expected {n_class}"
+            )
+
+    k, lengths = len(runs), [len(run) for run in runs]
+    offsets = np.cumsum([0] + lengths[:-1])
+    ids, counts = _index([ex.text for ex in examples] + [text for text, _ in val])
+    targets = np.array([ex.soft_label for ex in examples], dtype=float)
+    n = len(examples)
+    # a run's rows and its copy of the val rows keyed by (run, bucket), so the
+    # runs' columns are disjoint blocks; padding keys its run's bucket 0
+    run_keys = np.arange(k) * N_BUCKETS
+    train_ids, val_ids = ids[:n], ids[n:]
+    keys = np.concatenate(
+        (np.repeat(run_keys, lengths)[:, None] + train_ids, run_keys[:, None, None] + val_ids),
+        axis=None,
+    )
+    codes, columns = np.unique(keys, return_inverse=True)
+    val_columns = columns[train_ids.size :].reshape(k, *val_ids.shape)
+    columns = columns[: train_ids.size].reshape(train_ids.shape)
+    val_counts, counts = counts[n:], counts[:n]
+    blocks = np.searchsorted(codes, np.append(run_keys, k * N_BUCKETS))
+
+    weights = np.zeros((len(codes), n_class))
+    biases = np.zeros((k, n_class))
+    best: list = [None] * k
+    best_acc, stale, failed = [-1.0] * k, [0] * k, {}
+    histories: list[list[EpochStats]] = [[] for _ in runs]
+
+    orders = [list(range(m)) for m in lengths]
+    active = list(range(k))
+    for epoch in range(1, cfg.max_epochs + 1):
+        for r in active:
+            rngs[r].shuffle(orders[r])
+        visit = {r: offsets[r] + np.array(orders[r]) for r in active}
+        probs_seen = {r: np.empty((lengths[r], n_class)) for r in active}  # in visiting order
+        for start in range(0, max(lengths[r] for r in active), cfg.batch_size):
+            going = [r for r in active if start < lengths[r]]
+            sizes = [min(cfg.batch_size, lengths[r] - start) for r in going]
+            batch = np.concatenate([visit[r][start : start + cfg.batch_size] for r in going])
+            scale = np.repeat(cfg.learning_rate / np.array(sizes), sizes)[:, None]
+            ids_b, counts_b = columns[batch], counts[batch]
+            bias_b = np.repeat(biases[going], sizes, axis=0)
+            probs = softmax(_logits(weights, bias_b, ids_b, counts_b))
+            g = probs - targets[batch]
+            # one unbuffered 1-D scatter-add at column * n_class + class, so
+            # batch-mates' steps to a shared cell add up in row order; padding
+            # adds zero steps to its run's bucket-0 column
+            cells = ids_b[:, :, None] * n_class + np.arange(n_class)
+            steps = -(scale * counts_b)[:, :, None] * g[:, None, :]
+            np.add.at(weights.reshape(-1), cells.reshape(-1), steps.reshape(-1))
+            end = 0
+            for r, size in zip(going, sizes):
+                probs_seen[r][start : start + size] = probs[end : end + size]
+                biases[r] -= cfg.learning_rate / size * g[end : end + size].sum(axis=0)
+                end += size
+
+        for r in active:
+            # summed one example at a time, in visiting order
+            losses = soft_cross_entropy(probs_seen[r], targets[visit[r]])
+            mean_loss = float(losses.cumsum()[-1]) / lengths[r]
+            if not np.isfinite(mean_loss):
+                failed[r] = epoch
+                continue
+            preds = _logits(weights, biases[r], val_columns[r], val_counts).argmax(axis=1)
+            val_acc = sum(1 for p, (_, y) in zip(preds.tolist(), val) if p == y) / len(val)
+            histories[r].append(EpochStats(epoch, mean_loss, val_acc))
+            if val_acc > best_acc[r]:
+                best_acc[r], stale[r] = val_acc, 0
+                best[r] = (weights[blocks[r] : blocks[r + 1]].copy(), biases[r].copy())
+            else:
+                stale[r] += 1
+        active = [r for r in active if r not in failed and stale[r] < cfg.patience]
+        if not active:
+            break
+    if failed:
+        # the first failing run's error, as separate trainings would raise it
+        raise TrainingError(f"non-finite training loss at epoch {failed[min(failed)]}")
+
+    return [
+        (codes[blocks[r] : blocks[r + 1]] - run_keys[r], *best[r], histories[r])
+        for r in range(k)
+    ]
 
 
 def train(
@@ -178,78 +310,14 @@ def train(
     cfg: TrainConfig,
     rng: random.Random,
 ) -> tuple[LinearModel, list[EpochStats]]:
-    """Mini-batch SGD with per-epoch shuffling: each batch is scored with
-    the pre-batch weights, then one scatter-add steps every feature column
-    by -learning_rate / len(batch) * count * gradient, example by example
-    and feature by feature, and the bias steps once by the batch's summed
-    gradient at the same scale. Early-stops after `patience` epochs
-    without a validation accuracy improvement and returns the best
-    snapshot (ties resolve to the earliest epoch).
-
-    Training runs on the buckets of the train and val rows, renumbered to
-    dense columns; the returned model holds them in its 2^18 buckets and is
-    zero elsewhere. Batches and validation are scored with _logits, so their
-    logits match the returned model's bit for bit."""
-    if not train_examples:
-        raise DomainError("empty training set")
-    if not val:
-        raise DomainError("empty validation set")
-    for ex in train_examples:
-        if len(ex.soft_label) != n_class:
-            raise DomainError(
-                f"soft label has {len(ex.soft_label)} classes, expected {n_class}"
-            )
-
-    rows, counts = _index([ex.text for ex in train_examples])
-    targets = np.array([ex.soft_label for ex in train_examples], dtype=float)
-    val_rows, val_counts = _index([text for text, _ in val])
-    buckets, columns = np.unique(np.concatenate((rows, val_rows), axis=None), return_inverse=True)
-    ids = columns[: rows.size].reshape(rows.shape)
-    val_ids = columns[rows.size :].reshape(val_rows.shape)
-
-    weights = np.zeros((len(buckets), n_class))
-    bias = np.zeros(n_class)
-    best = (weights, bias)
-    best_acc = -1.0
-    stale = 0
-    history: list[EpochStats] = []
-
-    order = list(range(len(train_examples)))
-    for epoch in range(1, cfg.max_epochs + 1):
-        rng.shuffle(order)
-        probs_seen = np.empty((len(order), n_class))  # in visiting order
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            scale = cfg.learning_rate / len(batch)
-            ids_b, counts_b = ids[batch], counts[batch]
-            probs = softmax(_logits(weights, bias, ids_b, counts_b))
-            probs_seen[start : start + len(batch)] = probs
-            g = probs - targets[batch]
-            # unbuffered, so batch-mates' steps to a shared column add up;
-            # padding adds zero steps to column 0
-            np.add.at(weights, ids_b, -(scale * counts_b)[:, :, None] * g[:, None, :])
-            bias -= scale * g.sum(axis=0)
-        # summed one example at a time, in visiting order
-        losses = soft_cross_entropy(probs_seen, targets[order])
-        mean_loss = float(losses.cumsum()[-1]) / len(order)
-        if not np.isfinite(mean_loss):
-            raise TrainingError(f"non-finite training loss at epoch {epoch}")
-
-        preds = _logits(weights, bias, val_ids, val_counts).argmax(axis=1)
-        val_acc = sum(1 for p, (_, y) in zip(preds.tolist(), val) if p == y) / len(val)
-        history.append(EpochStats(epoch, mean_loss, val_acc))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best = (weights.copy(), bias.copy())
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-
+    """The one-run train_runs: returns the best snapshot as a model that
+    holds the run's columns in its 2^18 buckets and is zero elsewhere, and
+    the epoch history. Batches and validation are scored with _logits, so
+    their logits match the returned model's bit for bit."""
+    [(buckets, weights, bias, history)] = train_runs([train_examples], val, n_class, cfg, [rng])
     model = LinearModel.zeros(n_class)
-    model.weights[:, buckets] = best[0].T
-    model.bias = best[1]
+    model.weights[:, buckets] = weights.T
+    model.bias = bias
     return model, history
 
 

@@ -94,10 +94,20 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """A `d` that is not a dict raises DomainError."""
+        """A `d` that is not a dict, `methods` or `seeds` that is not a
+        list, or `fixed`, `search` or `train` that is not a dict raises
+        DomainError naming it."""
         if not isinstance(d, dict):
             raise DomainError(f"config: {d!r} is not an object of experiment fields")
         kwargs = dict(d)
+        for key in ("methods", "seeds"):
+            if key in kwargs:
+                if not isinstance(kwargs[key], (list, tuple)):
+                    raise DomainError(f"{key}: {kwargs[key]!r} must be a list")
+                kwargs[key] = tuple(kwargs[key])
+        for key in ("fixed", "search", "train"):
+            if not isinstance(kwargs.get(key, {}), dict):
+                raise DomainError(f"{key}: {kwargs[key]!r} is not an object of {key} fields")
         if "fixed" in kwargs:
             kwargs["fixed"] = FixedMethodParams(**kwargs["fixed"])
         if "search" in kwargs:
@@ -112,9 +122,6 @@ class ExperimentConfig:
             kwargs["space"] = PolicySpace.from_dict(kwargs["space"])
         if "train" in kwargs:
             kwargs["train"] = TrainConfig(**kwargs["train"])
-        for key in ("methods", "seeds"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         return ExperimentConfig(**kwargs)
 
 

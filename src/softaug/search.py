@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .classifier import TrainConfig, train
+from .classifier import TrainConfig, train_runs
 from .errors import DomainError, is_real, require_counts
 from .policy import AugmentationPolicy, PolicySpace, _renormalize, apply_policy, sample_policy
 from .textops import SynonymLexicon
@@ -193,14 +193,20 @@ def objective(
     rng: random.Random,
 ) -> tuple[tuple[float, ...], float]:
     """Train runs_per_trial classifiers with train_cfg on policy-augmented
-    data; each run's score is its best validation accuracy. Returns (run_scores, mean)."""
-    run_scores = []
-    for _ in range(cfg.runs_per_trial):
-        run_rng = random.Random(rng.randrange(_SEED_RANGE))
-        augmented = apply_policy(train_split, n_class, policy, lex, run_rng)
-        _, history = train(augmented, val_split, n_class, train_cfg, run_rng)
-        run_scores.append(max(h.val_accuracy for h in history))
-    return tuple(run_scores), sum(run_scores) / len(run_scores)
+    data; each run's score is its best validation accuracy. Returns
+    (run_scores, mean).
+
+    The run seeds are drawn from `rng` first; run i augments with its own
+    random.Random(seed i), which then shuffles its training. The runs train
+    in lockstep through one train_runs call: their texts and the val split
+    are indexed once, and each step scores the batches of the runs still
+    going with one gather and one softmax and steps them with one flat
+    scatter-add. Each run's score is the one a train call of its own gives."""
+    rngs = [random.Random(rng.randrange(_SEED_RANGE)) for _ in range(cfg.runs_per_trial)]
+    runs = [apply_policy(train_split, n_class, policy, lex, run_rng) for run_rng in rngs]
+    fits = train_runs(runs, val_split, n_class, train_cfg, rngs)
+    run_scores = tuple(max(h.val_accuracy for h in history) for *_, history in fits)
+    return run_scores, sum(run_scores) / len(run_scores)
 
 
 def optimize(

@@ -18,9 +18,10 @@ from softaug.classifier import (
     predict,
     save_model,
     train,
+    train_runs,
 )
 from softaug.datasets import make_synthetic_reviews
-from softaug.errors import DataError, DomainError
+from softaug.errors import DataError, DomainError, TrainingError
 from softaug.harness import ExperimentConfig, _fixed_policy, seed_splits
 from softaug.labels import smooth_label, soft_cross_entropy, softmax
 from softaug.policy import AugmentedExample, apply_policy
@@ -288,6 +289,10 @@ def dense_train(train_examples, val, n_class, cfg, rng, batched=False):
 
 def assert_same_as(examples, val, n_class, cfg, seed, batched):
     model, history = train(examples, val, n_class, cfg, random.Random(seed))
+    assert_matches_dense(model, history, examples, val, n_class, cfg, seed, batched)
+
+
+def assert_matches_dense(model, history, examples, val, n_class, cfg, seed, batched):
     ref_model, ref_history = dense_train(
         examples, val, n_class, cfg, random.Random(seed), batched
     )
@@ -387,6 +392,82 @@ class TestTrainSemantics:
             patience=data.draw(st.integers(1, max_epochs)),
         )
         assert_same_training(examples, val, n_class, cfg, data.draw(st.integers(0, 100)))
+
+
+def assert_runs_equal_separate_trainings(runs, val, n_class, cfg, seeds):
+    """train_runs on `runs` equals one train call per run, bit for bit: each
+    run's history, best weights and bias, and rng end state; each run also
+    equals the batched dense reference."""
+    rngs = [random.Random(seed) for seed in seeds]
+    fits = train_runs(runs, val, n_class, cfg, rngs)
+    for run, seed, rng, (buckets, weights, bias, history) in zip(runs, seeds, rngs, fits):
+        solo_rng = random.Random(seed)
+        solo_model, solo_history = train(run, val, n_class, cfg, solo_rng)
+        model = LinearModel.zeros(n_class)
+        model.weights[:, buckets] = weights.T
+        model.bias = bias
+        assert history == solo_history
+        np.testing.assert_array_equal(model.weights, solo_model.weights)
+        np.testing.assert_array_equal(model.bias, solo_model.bias)
+        assert rng.getstate() == solo_rng.getstate()
+        assert_matches_dense(model, history, run, val, n_class, cfg, seed, batched=True)
+    return fits
+
+
+class TestTrainRuns:
+    def test_runs_stopping_at_different_epochs(self):
+        examples, val = golden_fixture()
+        empty = AugmentedExample("", smooth_label(1, 3, 0.1), "original", 99)
+        runs = [examples, examples[:17], examples[10:29] + [empty]]
+        cfg = replace(TestTrainSemantics.GOLDEN_CFG, patience=2)
+        fits = assert_runs_equal_separate_trainings(runs, val, 3, cfg, [0, 0, 4])
+        # the runs stop at three different epochs, and their last batches
+        # hold 2, 1 and 4 rows, so the steps' batches are ragged
+        assert sorted(len(history) for *_, history in fits) == [3, 4, 5]
+        assert [len(run) % cfg.batch_size for run in runs] == [2, 1, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_separate_trainings(self, data):
+        n_class = data.draw(st.integers(2, 4))
+        words = st.sampled_from(["a", "B", "c", "dd", "e", "Ff", "g"])
+        text = st.lists(words, max_size=6).map(" ".join)  # "" for an empty list
+        labeled = st.tuples(text, st.integers(0, n_class - 1))
+        eps = data.draw(st.sampled_from([0.0, 0.1, 0.5]))
+        runs = [
+            [
+                AugmentedExample(t, smooth_label(y, n_class, eps), "original", i)
+                for i, (t, y) in enumerate(pairs)
+            ]
+            for pairs in data.draw(st.lists(st.lists(labeled, min_size=1, max_size=12), min_size=1, max_size=4))
+        ]
+        val = data.draw(st.lists(labeled, min_size=1, max_size=6))
+        max_epochs = data.draw(st.integers(1, 5))
+        cfg = TrainConfig(
+            learning_rate=data.draw(st.sampled_from([0.05, 0.5, 2.0])),
+            batch_size=data.draw(st.integers(1, 14)),
+            max_epochs=max_epochs,
+            patience=data.draw(st.integers(1, max_epochs)),
+        )
+        seeds = data.draw(st.lists(st.integers(0, 100), min_size=len(runs), max_size=len(runs)))
+        assert_runs_equal_separate_trainings(runs, val, n_class, cfg, seeds)
+
+    def test_first_failing_runs_error(self):
+        # at this learning rate the logits overflow: run 0 fails at epoch 3,
+        # run 1 at epoch 2, and separate trainings would raise run 0's error
+        examples, val = golden_fixture()
+        cfg = replace(TestTrainSemantics.GOLDEN_CFG, learning_rate=5e307)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as solo:
+            train(examples[:8], val, 3, cfg, random.Random(1))
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as lockstep:
+            train_runs([examples[:8]] * 2, val, 3, cfg, [random.Random(1), random.Random(0)])
+        assert str(lockstep.value) == str(solo.value) == "non-finite training loss at epoch 3"
+
+    def test_inputs_rejected(self):
+        run = hard_examples(TOY_TRAIN)
+        for runs, rngs in [([], []), ([run, []], [random.Random(0)] * 2), ([run], [])]:
+            with pytest.raises(DomainError):
+                train_runs(runs, TOY_VAL, 2, TrainConfig(), rngs)
 
 
 class TestEvaluate:

@@ -333,6 +333,12 @@ class TestCompareCommand:
             ({"search": {"gamma": True}}, "gamma"),
             ({"val_fraction": True}, "val_fraction"),
             ({"methods": ["baseline", "baseline"]}, "methods"),
+            # a field of the wrong JSON shape, named before anything reads it
+            ({"seeds": 5}, "seeds"),
+            ({"methods": "ours"}, "methods"),
+            ({"fixed": 5}, "fixed"),
+            ({"train": [1]}, "train"),
+            ({"search": 5}, "search"),
             # a top level that is not an object: the whole document
             ("abc", "config"),
             ([], "config"),
@@ -347,6 +353,12 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+    def test_string_methods_not_read_letter_by_letter(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"methods": "ours", "seeds": [0]}))
+        assert main(["compare", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: methods: 'ours' must be a list\n"
 
     @pytest.mark.parametrize(
         "search",

@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from softaug.classifier import TrainConfig
+from softaug.classifier import TrainConfig, train
 from softaug.errors import DomainError
-from softaug.policy import PolicySpace, sample_policy
-from softaug.search import SearchConfig, TrialRecord, objective, optimize, suggest
+from softaug.policy import PolicySpace, apply_policy, sample_policy
+from softaug.search import _SEED_RANGE, SearchConfig, TrialRecord, objective, optimize, suggest
 from softaug.textops import load_bundled_lexicon
 
 LEX = load_bundled_lexicon()
@@ -110,6 +110,25 @@ class TestObjective:
         a = objective(policy, TRAIN, VAL, 2, LEX, FAST, FAST_TRAIN, random.Random(3))
         b = objective(policy, TRAIN, VAL, 2, LEX, FAST, FAST_TRAIN, random.Random(3))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "change",
+        [{}, {"p_aug": 0.0}, {"p_aug": 1.0, "n_aug": max(SPACE.n_aug_choices)}, {"eps_ori": 0.3, "eps_aug": 0.7}],
+    )
+    def test_runs_equal_sequential_trainings(self, change):
+        policy = replace(sample_policy(SPACE, random.Random(4)), **change)
+        cfg = replace(FAST, runs_per_trial=3)
+        train_cfg = TrainConfig(batch_size=5, max_epochs=6, patience=2)
+        # reference: each run seeded from the trial rng in turn, then
+        # augmented and trained alone
+        rng, expected = random.Random(7), []
+        for _ in range(cfg.runs_per_trial):
+            run_rng = random.Random(rng.randrange(_SEED_RANGE))
+            augmented = apply_policy(TRAIN, 2, policy, LEX, run_rng)
+            _, history = train(augmented, VAL, 2, train_cfg, run_rng)
+            expected.append(max(h.val_accuracy for h in history))
+        run_scores, _ = objective(policy, TRAIN, VAL, 2, LEX, cfg, train_cfg, random.Random(7))
+        assert run_scores == tuple(expected)
 
     def test_invalid_policy_rejected(self):
         # the policy checks itself when built, so objective never sees it
