@@ -333,16 +333,16 @@ class TestCompareCommand:
             ({"search": {"gamma": True}}, "gamma"),
             ({"val_fraction": True}, "val_fraction"),
             ({"methods": ["baseline", "baseline"]}, "methods"),
+            # a top level that is not an object: the whole document
+            ("abc", "config"),
+            ([], "config"),
+            ([["n_train", 7]], "config"),
             # a field of the wrong JSON shape, named before anything reads it
             ({"seeds": 5}, "seeds"),
             ({"methods": "ours"}, "methods"),
             ({"fixed": 5}, "fixed"),
             ({"train": [1]}, "train"),
             ({"search": 5}, "search"),
-            # a top level that is not an object: the whole document
-            ("abc", "config"),
-            ([], "config"),
-            ([["n_train", 7]], "config"),
         ],
     )
     def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):
