@@ -2,19 +2,26 @@
 
 All operations are pure functions of (input tokens, parameters, rng):
 the caller owns the random stream, and identical seeds give identical
-outputs. The dispatcher `eda` reads its mix and magnitudes from a
+outputs. The dispatcher reads its mix and magnitudes from a
 `policy.AugmentationPolicy`, which checks them when it is built.
 Magnitudes follow the n = max(1, round(alpha * L)) convention with
 round-half-up ties.
+
+A source is prepared once: `eda_copies` draws its copies from the
+source's `SynonymLexicon.eligible` words and the policy's
+`cumulative_mix`. `eda`, `synonym_replacement` and `random_insertion` are
+its one-sentence views: they prepare, then draw.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .textops import SynonymLexicon, is_stopword
+from .textops import SynonymLexicon
 
 if TYPE_CHECKING:  # policy imports this module
     from .policy import AugmentationPolicy
@@ -25,6 +32,8 @@ __all__ = [
     "random_insertion",
     "random_swap",
     "random_deletion",
+    "cumulative_mix",
+    "eda_copies",
     "eda",
     "aeda",
 ]
@@ -52,13 +61,13 @@ def synonym_replacement(
     always preserved.
     """
     _require_nonempty(seq)
-    n = _num_ops(alpha, len(seq))
-    eligible = [i for i, tok in enumerate(seq) if not is_stopword(tok) and lex.synonyms(tok)]
-    if not eligible:
-        return list(seq)
+    return _replace(seq, lex.eligible(seq), _num_ops(alpha, len(seq)), rng)
+
+
+def _replace(seq: list[str], eligible: list, n: int, rng: random.Random) -> list[str]:
     out = list(seq)
-    for i in rng.sample(eligible, min(n, len(eligible))):
-        out[i] = rng.choice(lex.synonyms(seq[i]))
+    for i, syns in rng.sample(eligible, min(n, len(eligible))):
+        out[i] = rng.choice(syns)
     return out
 
 
@@ -71,15 +80,15 @@ def random_insertion(
     no insertion happens and the input is returned unchanged.
     """
     _require_nonempty(seq)
-    n = _num_ops(alpha, len(seq))
-    sources = [tok for tok in seq if not is_stopword(tok) and lex.synonyms(tok)]
+    return _insert(seq, lex.eligible(seq), _num_ops(alpha, len(seq)), rng)
+
+
+def _insert(seq: list[str], eligible: list, n: int, rng: random.Random) -> list[str]:
     out = list(seq)
-    if not sources:
-        return out
-    for _ in range(n):
-        word = rng.choice(sources)
-        syn = rng.choice(lex.synonyms(word))
-        out.insert(rng.randint(0, len(out)), syn)
+    if eligible:
+        for _ in range(n):
+            syn = rng.choice(rng.choice(eligible)[1])
+            out.insert(rng.randrange(len(out) + 1), syn)
     return out
 
 
@@ -108,26 +117,46 @@ def random_deletion(seq: list[str], alpha: float, rng: random.Random) -> list[st
     return out
 
 
+def cumulative_mix(policy: AugmentationPolicy) -> list[float]:
+    """The running sums of (p_sr, p_ri, p_rs, p_rd), as `random.choices` builds them."""
+    return list(accumulate((policy.p_sr, policy.p_ri, policy.p_rs, policy.p_rd)))
+
+
+def eda_copies(
+    seq: list[str], eligible: list, policy: AugmentationPolicy, cum: list[float], k: int, rng: random.Random
+) -> list[list[str]]:
+    """`k` eda copies of the non-empty `seq`, given its `lex.eligible(seq)`
+    and `cumulative_mix(policy)`. Each copy picks one suboperation with one
+    rng draw, the draw `random.choices` makes, and applies it with its
+    magnitude (alpha_sr .. alpha_rd)."""
+    copies = []
+    for _ in range(k):
+        # choices' own pick; hi = 3 keeps a product rounded up to cum[-1] on the last op
+        kind = bisect(cum, rng.random() * cum[-1], 0, 3)
+        if kind == 0:
+            copies.append(_replace(seq, eligible, _num_ops(policy.alpha_sr, len(seq)), rng))
+        elif kind == 1:
+            copies.append(_insert(seq, eligible, _num_ops(policy.alpha_ri, len(seq)), rng))
+        elif kind == 2:
+            copies.append(random_swap(seq, policy.alpha_rs, rng))
+        else:
+            copies.append(random_deletion(seq, policy.alpha_rd, rng))
+    return copies
+
+
 def eda(
     seq: list[str], policy: AugmentationPolicy, lex: SynonymLexicon, rng: random.Random
 ) -> list[str]:
-    """Pick one suboperation from the policy's mix (p_sr, p_ri, p_rs, p_rd)
-    and apply it with its magnitude (alpha_sr .. alpha_rd).
+    """One copy of `seq` by the policy's mix (p_sr, p_ri, p_rs, p_rd) and
+    magnitudes: `eda_copies` for k = 1.
 
-    The pick (`random.Random.choices`) consumes exactly one rng draw, so
-    a one-hot mix is equivalent to calling the suboperation after that
-    single draw. The policy checked its mix and magnitudes when it was
-    built, and the suboperation rejects an empty seq, so eda checks neither.
+    The pick consumes exactly one rng draw, so a one-hot mix is
+    equivalent to calling the suboperation after that single draw. The
+    policy checked its mix and magnitudes when it was built; an empty
+    seq raises DomainError.
     """
-    p = policy
-    kind = rng.choices(("sr", "ri", "rs", "rd"), (p.p_sr, p.p_ri, p.p_rs, p.p_rd))[0]
-    if kind == "sr":
-        return synonym_replacement(seq, p.alpha_sr, lex, rng)
-    if kind == "ri":
-        return random_insertion(seq, p.alpha_ri, lex, rng)
-    if kind == "rs":
-        return random_swap(seq, p.alpha_rs, rng)
-    return random_deletion(seq, p.alpha_rd, rng)
+    _require_nonempty(seq)
+    return eda_copies(seq, lex.eligible(seq), policy, cumulative_mix(policy), 1, rng)[0]
 
 
 def aeda(seq: list[str], rng: random.Random) -> list[str]:
@@ -141,5 +170,5 @@ def aeda(seq: list[str], rng: random.Random) -> list[str]:
     out = list(seq)
     for _ in range(k):
         mark = rng.choice(PUNCTUATION_MARKS)
-        out.insert(rng.randint(0, len(out)), mark)
+        out.insert(rng.randrange(len(out) + 1), mark)
     return out

@@ -103,7 +103,12 @@ def _read_rows(path: Path, fmt: str) -> list[tuple[str, str, str]]:
                     raise DataError(f"{path.name} line {lineno}: expected a JSON object")
                 if "text" not in obj or "label" not in obj:
                     raise DataError(f"{path.name} line {lineno}: missing text/label")
-                rows.append((str(obj["text"]), str(obj["label"]), str(obj.get("split", "train"))))
+                text, label = obj["text"], obj["label"]
+                if not isinstance(text, str):
+                    raise DataError(f"{path.name} line {lineno}: text {text!r} is not a string")
+                if isinstance(label, bool) or not isinstance(label, (str, int)):
+                    raise DataError(f"{path.name} line {lineno}: label {label!r} is not a string or an integer")
+                rows.append((text, str(label), str(obj.get("split", "train"))))
     else:
         delim = "," if fmt == "csv" else "\t"
         with open(path, encoding="utf-8", newline="") as f:

@@ -4,7 +4,9 @@ A policy bundles the augmentation probability, the suboperation mix, the
 four magnitudes, the copies-per-example count, and the two label smoothing
 factors. Applying it to a labeled split yields the soft-labeled training
 set: every original (smoothed with eps_ori) followed by the augmented
-copies (smoothed with eps_aug), grouped by source example.
+copies (smoothed with eps_aug), grouped by source example. Each selected
+source is prepared once per call and its copies drawn from that; the
+examples share one read-only soft-label array per (class, eps).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .augment import aeda, eda
+from .augment import aeda, cumulative_mix, eda_copies
 from .errors import DomainError, is_int, is_real
 from .labels import smooth_label
 from .textops import SynonymLexicon, detokenize, tokenize
@@ -211,16 +213,26 @@ def apply_policy(
     grouped by source index. `op` makes each copy: "eda" with the policy's
     mix and magnitudes, or "aeda" punctuation insertion. With p_aug = 0
     nothing is selected and rng is not drawn from. Every copy has
-    provenance "eda-augmented", whichever op made it."""
+    provenance "eda-augmented", whichever op made it. A source's eda copies
+    come from one `eda_copies` call, with the draws of n_aug `eda` calls."""
     if not split:
         raise DomainError("empty dataset")
     if op not in ("eda", "aeda"):
         raise DomainError(f"unknown augmentation op {op!r}")
 
+    labels: dict[tuple[int, float], np.ndarray] = {}
+
+    def label(y: int, eps: float) -> np.ndarray:
+        if (y, eps) not in labels:
+            labels[y, eps] = smooth_label(y, n_class, eps)
+            labels[y, eps].flags.writeable = False
+        return labels[y, eps]
+
     out = [
-        AugmentedExample(text, smooth_label(y, n_class, policy.eps_ori), "original", i)
+        AugmentedExample(text, label(y, policy.eps_ori), "original", i)
         for i, (text, y) in enumerate(split)
     ]
+    cum = cumulative_mix(policy)
     for i, (text, y) in enumerate(split):
         if not policy.p_aug or rng.random() >= policy.p_aug:
             continue
@@ -228,16 +240,12 @@ def apply_policy(
         if not tokens:
             logger.warning("example %d tokenizes to empty; skipping its augmentation", i)
             continue
-        for _ in range(policy.n_aug):
-            aug_tokens = eda(tokens, policy, lex, rng) if op == "eda" else aeda(tokens, rng)
-            out.append(
-                AugmentedExample(
-                    detokenize(aug_tokens),
-                    smooth_label(y, n_class, policy.eps_aug),
-                    "eda-augmented",
-                    i,
-                )
-            )
+        if op == "eda":
+            copies = eda_copies(tokens, lex.eligible(tokens), policy, cum, policy.n_aug, rng)
+        else:
+            copies = [aeda(tokens, rng) for _ in range(policy.n_aug)]
+        soft = label(y, policy.eps_aug)
+        out += [AugmentedExample(detokenize(c), soft, "eda-augmented", i) for c in copies]
     return out
 
 

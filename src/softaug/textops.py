@@ -50,11 +50,19 @@ class SynonymLexicon:
     """
 
     def __init__(self, entries: dict[str, tuple[str, ...]]):
-        self._entries = dict(entries)
+        self._entries = {head: tuple(syns) for head, syns in entries.items()}
 
     def synonyms(self, word: str) -> list[str]:
         """Synonyms in file order; [] for absent words."""
         return list(self._entries.get(word.lower(), ()))
+
+    def eligible(self, tokens: list[str]) -> list[tuple[int, tuple[str, ...]]]:
+        """(position, synonyms) of each token that synonym replacement and
+        insertion draw from: a non-stopword with at least one synonym. The
+        synonym tuples are the stored ones, not copies."""
+        stop = _stopwords()
+        lows = enumerate(tok.lower() for tok in tokens)
+        return [(i, syns) for i, low in lows if low not in stop and (syns := self._entries.get(low))]
 
     def __len__(self) -> int:
         return len(self._entries)

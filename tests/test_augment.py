@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -16,8 +17,9 @@ from softaug.augment import (
     synonym_replacement,
 )
 from softaug.errors import DomainError
-from softaug.policy import AugmentationPolicy, PolicySpace, sample_policy
-from softaug.textops import SynonymLexicon, detokenize, load_lexicon, tokenize
+from softaug.labels import smooth_label
+from softaug.policy import AugmentationPolicy, PolicySpace, apply_policy, sample_policy
+from softaug.textops import SynonymLexicon, detokenize, is_stopword, load_lexicon, tokenize
 
 
 def make_lex(entries: dict[str, list[str]]):
@@ -277,3 +279,103 @@ class TestUnicodeTokens:
         # every output survives the detokenize -> tokenize round trip
         for out in (sr, ri, rs, rd, ae, ed):
             assert tokenize(detokenize(out)) == out
+
+
+# The per-copy augmentation that each selected source's preparation in
+# apply_policy replaced: every copy rescans its sentence for eligible words,
+# picks its suboperation with random.choices and smooths its own label.
+def ref_sr(seq, alpha, lex, rng):
+    n = max(1, math.floor(alpha * len(seq) + 0.5))
+    eligible = [i for i, tok in enumerate(seq) if not is_stopword(tok) and lex.synonyms(tok)]
+    out = list(seq)
+    for i in rng.sample(eligible, min(n, len(eligible))):
+        out[i] = rng.choice(lex.synonyms(seq[i]))
+    return out
+
+
+def ref_ri(seq, alpha, lex, rng):
+    n = max(1, math.floor(alpha * len(seq) + 0.5))
+    sources = [tok for tok in seq if not is_stopword(tok) and lex.synonyms(tok)]
+    out = list(seq)
+    for _ in range(n if sources else 0):
+        word = rng.choice(sources)
+        syn = rng.choice(lex.synonyms(word))
+        out.insert(rng.randint(0, len(out)), syn)
+    return out
+
+
+def ref_eda(seq, p, lex, rng):
+    kind = rng.choices(SUBOPS, (p.p_sr, p.p_ri, p.p_rs, p.p_rd))[0]
+    if kind in ("sr", "ri"):
+        return (ref_sr if kind == "sr" else ref_ri)(seq, getattr(p, f"alpha_{kind}"), lex, rng)
+    return random_swap(seq, p.alpha_rs, rng) if kind == "rs" else random_deletion(seq, p.alpha_rd, rng)
+
+
+def ref_aeda(seq, rng):
+    out = list(seq)
+    for _ in range(rng.randint(1, max(1, len(seq) // 3))):
+        mark = rng.choice(PUNCTUATION_MARKS)
+        out.insert(rng.randint(0, len(out)), mark)
+    return out
+
+
+def ref_apply_policy(split, n_class, p, lex, rng, op):
+    out = [(text, smooth_label(y, n_class, p.eps_ori), "original", i) for i, (text, y) in enumerate(split)]
+    for i, (text, y) in enumerate(split):
+        if p.p_aug and rng.random() < p.p_aug and (tokens := tokenize(text)):
+            for _ in range(p.n_aug):
+                aug = ref_eda(tokens, p, lex, rng) if op == "eda" else ref_aeda(tokens, rng)
+                out.append((detokenize(aug), smooth_label(y, n_class, p.eps_aug), "eda-augmented", i))
+    return out
+
+
+# headwords include stopwords ("the", "and", "being"), which are never eligible
+REF_LEX = make_lex({
+    "good": ["fine", "great"], "film": ["movie"], "plot": ["story", "storyline", "narrative"],
+    "the": ["this"], "and": ["plus"], "being": ["existing"],
+})
+ref_words = st.sampled_from(
+    ["good", "Good", "GOOD", "film", "FILM", "plot", "the", "The", "and", "AND", "being", "zebra", "Quux", "!"]
+)
+ref_splits = st.lists(st.tuples(st.lists(ref_words, max_size=9).map(" ".join), st.integers(0, 2)),
+                      min_size=1, max_size=6)
+policies = st.integers(0, 2**32).map(lambda s: sample_policy(PolicySpace(), random.Random(s)))
+
+
+class TestPreparedMatchesPerCopyReference:
+    @settings(max_examples=150, deadline=None)
+    @given(ref_splits, policies, st.sampled_from(["eda", "aeda"]), st.integers(0, 2**32))
+    def test_apply_policy(self, split, policy, op, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = apply_policy(split, 3, policy, REF_LEX, rng, op=op)
+        expected = ref_apply_policy(split, 3, policy, REF_LEX, ref_rng, op)
+        assert [(e.text, e.soft_label.tolist(), e.provenance, e.source_index) for e in got] == [
+            (text, label.tolist(), provenance, i) for text, label, provenance, i in expected
+        ]
+        assert rng.getstate() == ref_rng.getstate()
+
+    @given(st.lists(ref_words, min_size=1, max_size=12), st.floats(0, 0.5), st.integers(0, 2**32))
+    def test_suboperations_and_aeda(self, seq, alpha, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert synonym_replacement(seq, alpha, REF_LEX, rng) == ref_sr(seq, alpha, REF_LEX, ref_rng)
+        assert random_insertion(seq, alpha, REF_LEX, rng) == ref_ri(seq, alpha, REF_LEX, ref_rng)
+        assert aeda(seq, rng) == ref_aeda(seq, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @given(st.lists(ref_words, min_size=1, max_size=12), policies, st.integers(0, 2**32))
+    def test_eda(self, seq, policy, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert [eda(seq, policy, REF_LEX, rng) for _ in range(4)] == [
+            ref_eda(seq, policy, REF_LEX, ref_rng) for _ in range(4)
+        ]
+        assert rng.getstate() == ref_rng.getstate()
+
+
+class TestEligible:
+    def test_stopwords_and_case(self):
+        seq = ["The", "GOOD", "zebra", "being", "Film", "and", "good"]
+        assert REF_LEX.eligible(seq) == [(1, ("fine", "great")), (4, ("movie",)), (6, ("fine", "great"))]
+
+    def test_returns_stored_tuples(self):
+        (_, first), (_, second) = REF_LEX.eligible(["good", "Good"])
+        assert first is second

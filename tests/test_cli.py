@@ -247,6 +247,17 @@ class TestTrainEvalCommands:
         ])
         assert code == 2
 
+    def test_null_jsonl_text_is_data_error(self, policy_file, tmp_path, capsys):
+        data = tmp_path / "nulls.jsonl"
+        data.write_text('{"text": "fine movie", "label": 1}\n{"text": null, "label": 0}\n')
+        code = main([
+            "augment", "--input", str(data), "--policy", str(policy_file),
+            "--seed", "0", "--output", str(tmp_path / "o.jsonl"),
+        ])
+        assert code == 2
+        assert "nulls.jsonl line 2: text None is not a string" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_bad_policy_file(self, dataset, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -80,6 +81,32 @@ class TestLoadDataset:
         path.write_text('{"text": "a", "label": "x"}\n' + line + "\n")
         with pytest.raises(DataError, match="line 2: expected a JSON object"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('{"text": null, "label": "a"}', "text None is not a string"),
+            ('{"text": 5, "label": "a"}', "text 5 is not a string"),
+            ('{"text": ["a"], "label": "a"}', "text ['a'] is not a string"),
+            ('{"text": "a", "label": null}', "label None is not a string or an integer"),
+            ('{"text": "a", "label": true}', "label True is not a string or an integer"),
+            ('{"text": "a", "label": 1.0}', "label 1.0 is not a string or an integer"),
+            ('{"text": "a", "label": {"id": 1}}', "label {'id': 1} is not a string or an integer"),
+        ],
+    )
+    def test_jsonl_wrong_value_type_names_line(self, tmp_path, row, message):
+        # these used to load through str(): null text as "None", null label as a class "None"
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "a", "label": "x"}\n' + row + "\n")
+        with pytest.raises(DataError, match=re.escape(f"d.jsonl line 2: {message}")):
+            load_dataset(path)
+
+    def test_jsonl_integer_labels(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "a", "label": 1}\n{"text": "b", "label": 0}\n{"text": "c", "label": "1"}\n')
+        ds = load_dataset(path)
+        assert ds.label_names == ["1", "0"]
+        assert ds.split("train") == [("a", 0), ("b", 1), ("c", 0)]
 
     @pytest.mark.parametrize(
         "name, content",

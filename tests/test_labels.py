@@ -24,6 +24,13 @@ class TestSmoothLabel:
         expected = [0.06, 0.06, 0.76, 0.06, 0.06]
         np.testing.assert_allclose(smooth_label(2, 5, 0.3), expected, atol=1e-12)
 
+    def test_returns_a_fresh_writable_array(self):
+        # apply_policy freezes the arrays it shares; smooth_label's own stay the caller's
+        a, b = smooth_label(1, 3, 0.1), smooth_label(1, 3, 0.1)
+        assert a is not b and a.flags.writeable and b.flags.writeable
+        a[0] = 0.5
+        assert b[0] == 0.1 / 3
+
     def test_eps_zero_is_one_hot(self):
         for n in (2, 3, 7):
             for y in range(n):

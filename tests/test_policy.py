@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softaug.augment import PUNCTUATION_MARKS
+from softaug.datasets import make_synthetic_reviews
 from softaug.errors import DomainError
+from softaug.labels import smooth_label
 from softaug.policy import (
     _RANGES,
     AugmentationPolicy,
@@ -287,6 +290,46 @@ class TestApplyPolicy:
             assert groups == []
         if p_aug == 1.0:
             assert sources == [i for i, (text, _) in enumerate(split) if tokenize(text)]
+
+
+class TestApplyPolicyGolden:
+    # (example count, sha256 of every example's text, provenance, source
+    # index and label bytes, then the rng end state), recorded with the
+    # per-copy eda calls that each source's one preparation replaced
+    GOLDEN = {
+        "eda": (4646, "45b98e9eb011b027708144d78b132171bdc98ad15f78fbc20a010b6ce8ba4107"),
+        "aeda": (4628, "af240cd03a0f2967050bd44d59912320bb9d4426eb250c6e953975e13b4cc458"),
+    }
+
+    @pytest.mark.parametrize("op", sorted(GOLDEN))
+    def test_surrogate_train_split(self, op):
+        data = make_synthetic_reviews()
+        policy = sample_policy(PolicySpace(), random.Random(3))
+        rng = random.Random(2024)
+        out = apply_policy(data.split("train"), data.n_class, policy, LEX, rng, op=op)
+        h = hashlib.sha256()
+        for ex in out:
+            h.update(f"{ex.text}\t{ex.provenance}\t{ex.source_index}\n".encode())
+            h.update(ex.soft_label.tobytes())
+        h.update(repr(rng.getstate()).encode())
+        assert (len(out), h.hexdigest()) == self.GOLDEN[op]
+
+    @pytest.mark.parametrize("op", ["eda", "aeda"])
+    def test_labels_are_shared_read_only_smooth_labels(self, op):
+        policy = replace(BASELINE_POLICY, eps_ori=0.05, eps_aug=0.2)
+        out = apply_policy(SENTENCES, 2, policy, LEX, random.Random(1), op=op)
+        for ex in out:
+            eps = policy.eps_ori if ex.provenance == "original" else policy.eps_aug
+            expected = smooth_label(SENTENCES[ex.source_index][1], 2, eps)
+            assert ex.soft_label.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError):
+                ex.soft_label[0] = 0.5
+        # one array per (class, eps): 2 classes x 2 smoothing factors
+        assert len({id(ex.soft_label) for ex in out}) == 4
+
+    def test_label_of_an_out_of_range_class_still_rejected(self):
+        with pytest.raises(DomainError, match="class index 2"):
+            apply_policy([("good film", 2)], 2, BASELINE_POLICY, LEX, random.Random(0))
 
 
 class TestPolicySerialization:
