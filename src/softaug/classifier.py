@@ -12,14 +12,16 @@ scaled by learning_rate / len(batch); batch-mates that share a feature
 column add their steps there. Training early-stops on validation accuracy.
 One trainer, train_runs, trains k runs in lockstep (train is its k=1 call;
 a search trial trains its runs through it): all runs' texts and the val
-split are indexed in one call, each run owns a disjoint block of dense
-columns in one weight matrix, and each step takes one gather, one softmax
-and one flat 1-D scatter-add (np.add.at at column * n_class + class) over
-the batches of the runs still going. Each run keeps its own shuffle rng,
-early-stop state, best snapshot and bias step, and every cell gets its adds
-in the order a training of its own would give it, so a run's results equal
-its own training's bit for bit; padding adds exact zeros to its run's
-bucket-0 column.
+split are indexed in one call, and each run owns a disjoint block of dense
+columns in one weight matrix that, like the model's, holds one row per
+class. Each epoch lays out the runs' shuffled rows step by step and gathers
+them once; each step then takes one contiguous slice, one gather, one
+softmax and one flat 1-D scatter-add (np.add.at at class * n_columns +
+column) over the batches of the runs still going. Each run keeps its own
+shuffle rng, early-stop state, best snapshot and bias step, and every cell
+gets its adds in the order a training of its own would give it, so a run's
+results equal its own training's bit for bit; padding adds exact zeros to
+its run's bucket-0 column.
 Training, validation, evaluate and predict share one indexer (_index: rows
 keyed by bucket, so a row depends only on its text; only training renumbers
 buckets to dense columns) and one scoring routine (_logits: the bias plus
@@ -176,15 +178,25 @@ def featurize(text: str) -> dict[int, float]:
 def _logits(
     weights: np.ndarray, bias: np.ndarray, ids: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Logits of _index rows, `weights` holding one row per id and `bias`
-    one row per class or per row: the bias joins the first term, then
-    cumsum, not a dot product, adds each further term in the row's order.
-    A row of width 0 gives the bias."""
+    """Logits of _index rows, `weights` holding one row per class and one
+    column per id, and `bias` one entry per class or one row per row: the
+    bias joins the first term, then cumsum, not a dot product, adds each
+    further term in the row's order. A row of width 0 gives the bias."""
     if ids.shape[1] == 0:
-        return np.broadcast_to(bias, (len(ids), weights.shape[1])).copy()
-    terms = weights[ids] * counts[:, :, None]
-    terms[:, 0] += bias
-    return terms.cumsum(axis=1)[:, -1]
+        return np.broadcast_to(bias, (len(ids), len(weights))).copy()
+    terms = weights.take(ids, axis=1) * counts
+    terms[:, :, 0] += np.atleast_2d(bias).T
+    return terms.cumsum(axis=2)[:, :, -1].T
+
+
+def _labels(data: list[tuple[str, int]], n_class: int) -> np.ndarray:
+    """The labels of (text, label) pairs; one outside [0, n_class) raises
+    DomainError."""
+    y = np.fromiter((label for _, label in data), np.intp, len(data))
+    outside = y[(y < 0) | (y >= n_class)]
+    if outside.size:
+        raise DomainError(f"label {outside[0]} is outside [0, {n_class}): the model has {n_class} classes")
+    return y
 
 
 def train_runs(
@@ -201,14 +213,18 @@ def train_runs(
     example and feature by feature, and the bias steps once by the batch's
     summed gradient at the same scale. A run early-stops after `patience`
     epochs without a validation accuracy improvement and keeps its best
-    snapshot (ties resolve to the earliest epoch).
+    snapshot (ties resolve to the earliest epoch). A val label outside
+    [0, n_class) raises DomainError.
 
     Each run trains on its own block of dense columns, one per bucket of its
-    train and val rows, in one weight matrix; each step gathers, scores and
-    scatters the batches of the runs still going at once, so every run's
-    history, snapshot and rng end state are those of its own training
-    alone. Returns per run (buckets, weights, bias, history): the best
-    snapshot's weights, one row per bucket, and its bias."""
+    train and val rows, in one weight matrix with one row per class. Each
+    epoch lays out the active runs' shuffled rows step by step, and within
+    a step run by run, and gathers them once; each step then scores and
+    scatters a contiguous slice, the batches of the runs still going, so
+    every run's history, snapshot and rng end state are those of its own
+    training alone. Returns per run (buckets, weights, bias, history): the
+    best snapshot's weights, one row per class and one column per bucket,
+    and its bias."""
     if not runs or not all(runs):
         raise DomainError("empty training set")
     if not val:
@@ -221,8 +237,9 @@ def train_runs(
             raise DomainError(
                 f"soft label has {len(ex.soft_label)} classes, expected {n_class}"
             )
+    val_y = _labels(val, n_class)
 
-    k, lengths = len(runs), [len(run) for run in runs]
+    k, lengths, bs = len(runs), [len(run) for run in runs], cfg.batch_size
     offsets = np.cumsum([0] + lengths[:-1])
     ids, counts = _index([ex.text for ex in examples] + [text for text, _ in val])
     targets = np.array([ex.soft_label for ex in examples], dtype=float)
@@ -241,7 +258,7 @@ def train_runs(
     val_counts, counts = counts[n:], counts[:n]
     blocks = np.searchsorted(codes, np.append(run_keys, k * N_BUCKETS))
 
-    weights = np.zeros((len(codes), n_class))
+    weights = np.zeros((n_class, len(codes)))
     biases = np.zeros((k, n_class))
     best: list = [None] * k
     best_acc, stale, failed = [-1.0] * k, [0] * k, {}
@@ -252,42 +269,49 @@ def train_runs(
     for epoch in range(1, cfg.max_epochs + 1):
         for r in active:
             rngs[r].shuffle(orders[r])
-        visit = {r: offsets[r] + np.array(orders[r]) for r in active}
-        probs_seen = {r: np.empty((lengths[r], n_class)) for r in active}  # in visiting order
-        for start in range(0, max(lengths[r] for r in active), cfg.batch_size):
-            going = [r for r in active if start < lengths[r]]
-            sizes = [min(cfg.batch_size, lengths[r] - start) for r in going]
-            batch = np.concatenate([visit[r][start : start + cfg.batch_size] for r in going])
-            scale = np.repeat(cfg.learning_rate / np.array(sizes), sizes)[:, None]
-            ids_b, counts_b = columns[batch], counts[batch]
-            bias_b = np.repeat(biases[going], sizes, axis=0)
-            probs = softmax(_logits(weights, bias_b, ids_b, counts_b))
-            g = probs - targets[batch]
-            # one unbuffered 1-D scatter-add at column * n_class + class, so
+        # the active runs' rows in visiting order, laid out step by step and
+        # within a step run by run: a step's batches are one contiguous slice
+        step = np.concatenate([np.arange(lengths[r]) // bs for r in active])
+        plan = np.argsort(step, kind="stable")
+        rows = np.concatenate([offsets[r] + np.array(orders[r]) for r in active])[plan]
+        run_of, step = np.repeat(active, [lengths[r] for r in active])[plan], step[plan]
+        ids_e, counts_e, targets_e = columns[rows], counts[rows], targets[rows]
+        # cell (class, column) sits at class * n_columns + column of the flat weights
+        cells_e = ids_e[:, None, :] + np.arange(n_class)[:, None] * len(codes)
+        scale = cfg.learning_rate / np.minimum(bs, np.array(lengths)[run_of] - step * bs)
+        scaled_e = -(scale[:, None] * counts_e)
+        probs_e = np.empty_like(targets_e)
+        lo = 0
+        for start in range(0, max(lengths[r] for r in active), bs):
+            sizes = [(r, min(bs, lengths[r] - start)) for r in active if start < lengths[r]]
+            hi = lo + sum(size for _, size in sizes)
+            z = _logits(weights, biases[run_of[lo:hi]], ids_e[lo:hi], counts_e[lo:hi])
+            probs_e[lo:hi] = softmax(z)
+            g = probs_e[lo:hi] - targets_e[lo:hi]
+            # one unbuffered 1-D scatter-add over (row, class, position), so
             # batch-mates' steps to a shared cell add up in row order; padding
             # adds zero steps to its run's bucket-0 column
-            cells = ids_b[:, :, None] * n_class + np.arange(n_class)
-            steps = -(scale * counts_b)[:, :, None] * g[:, None, :]
-            np.add.at(weights.reshape(-1), cells.reshape(-1), steps.reshape(-1))
+            steps = scaled_e[lo:hi, None, :] * g[:, :, None]
+            np.add.at(weights.reshape(-1), cells_e[lo:hi].reshape(-1), steps.reshape(-1))
             end = 0
-            for r, size in zip(going, sizes):
-                probs_seen[r][start : start + size] = probs[end : end + size]
+            for r, size in sizes:
                 biases[r] -= cfg.learning_rate / size * g[end : end + size].sum(axis=0)
                 end += size
+            lo = hi
 
+        losses_e = soft_cross_entropy(probs_e, targets_e)
         for r in active:
             # summed one example at a time, in visiting order
-            losses = soft_cross_entropy(probs_seen[r], targets[visit[r]])
-            mean_loss = float(losses.cumsum()[-1]) / lengths[r]
+            mean_loss = float(losses_e[run_of == r].cumsum()[-1]) / lengths[r]
             if not np.isfinite(mean_loss):
                 failed[r] = epoch
                 continue
             preds = _logits(weights, biases[r], val_columns[r], val_counts).argmax(axis=1)
-            val_acc = sum(1 for p, (_, y) in zip(preds.tolist(), val) if p == y) / len(val)
+            val_acc = np.count_nonzero(preds == val_y) / len(val)
             histories[r].append(EpochStats(epoch, mean_loss, val_acc))
             if val_acc > best_acc[r]:
                 best_acc[r], stale[r] = val_acc, 0
-                best[r] = (weights[blocks[r] : blocks[r + 1]].copy(), biases[r].copy())
+                best[r] = (weights[:, blocks[r] : blocks[r + 1]].copy(), biases[r].copy())
             else:
                 stale[r] += 1
         active = [r for r in active if r not in failed and stale[r] < cfg.patience]
@@ -316,7 +340,7 @@ def train(
     their logits match the returned model's bit for bit."""
     [(buckets, weights, bias, history)] = train_runs([train_examples], val, n_class, cfg, [rng])
     model = LinearModel.zeros(n_class)
-    model.weights[:, buckets] = weights.T
+    model.weights[:, buckets] = weights
     model.bias = bias
     return model, history
 
@@ -324,17 +348,19 @@ def train(
 def predict(model: LinearModel, text: str) -> np.ndarray:
     """Class probabilities: softmax(weights . featurize(text) + bias)."""
     ids, counts = _index([text])
-    return softmax(_logits(model.weights.T, model.bias, ids, counts)[0])
+    return softmax(_logits(model.weights, model.bias, ids, counts)[0])
 
 
 def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
     """Fraction of examples whose argmax prediction matches the label.
-    Argmax ties break toward the lowest class index."""
+    Argmax ties break toward the lowest class index. A label outside
+    [0, model.n_class) raises DomainError."""
     if not data:
         raise DomainError("empty evaluation set")
+    y = _labels(data, model.n_class)
     ids, counts = _index([text for text, _ in data])
-    preds = _logits(model.weights.T, model.bias, ids, counts).argmax(axis=1)
-    return sum(1 for p, (_, y) in zip(preds.tolist(), data) if p == y) / len(data)
+    preds = _logits(model.weights, model.bias, ids, counts).argmax(axis=1)
+    return np.count_nonzero(preds == y) / len(data)
 
 
 _CHECKPOINT_VERSION = 1

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from dataclasses import replace
@@ -404,7 +405,7 @@ def assert_runs_equal_separate_trainings(runs, val, n_class, cfg, seeds):
         solo_rng = random.Random(seed)
         solo_model, solo_history = train(run, val, n_class, cfg, solo_rng)
         model = LinearModel.zeros(n_class)
-        model.weights[:, buckets] = weights.T
+        model.weights[:, buckets] = weights
         model.bias = bias
         assert history == solo_history
         np.testing.assert_array_equal(model.weights, solo_model.weights)
@@ -412,6 +413,63 @@ def assert_runs_equal_separate_trainings(runs, val, n_class, cfg, seeds):
         assert rng.getstate() == solo_rng.getstate()
         assert_matches_dense(model, history, run, val, n_class, cfg, seed, batched=True)
     return fits
+
+
+@functools.lru_cache(maxsize=None)
+def surrogate_split():
+    """The bundled surrogate, its seed-0 (train, val) splits and the
+    softeda_fixed policy of the default ExperimentConfig."""
+    data = make_synthetic_reviews()
+    cfg = ExperimentConfig()
+    train_split, val = seed_splits(data, cfg, 0)
+    return data, train_split, val, _fixed_policy("softeda_fixed", cfg.fixed)
+
+
+def augment_split(rng):
+    """The seed-0 train split augmented by softeda_fixed with `rng`."""
+    data, train_split, _, policy = surrogate_split()
+    return apply_policy(train_split, data.n_class, policy, load_bundled_lexicon(), rng)
+
+
+@functools.lru_cache(maxsize=None)
+def surrogate_model():
+    """The softeda_fixed cell's training of seed 0: one rng augments, then
+    shuffles, at the default TrainConfig."""
+    data, _, val, _ = surrogate_split()
+    rng = random.Random(0)
+    return train(augment_split(rng), val, data.n_class, TrainConfig(), rng)
+
+
+def model_digest(model, history):
+    """sha256 of a model's weights and bias bytes and its history's
+    (epoch, train_loss, val_accuracy) doubles."""
+    stats = np.array([(h.epoch, h.train_loss, h.val_accuracy) for h in history])
+    return hashlib.sha256(model.weights.tobytes() + model.bias.tobytes() + stats.tobytes()).hexdigest()
+
+
+class TestWeightsGolden:
+    # recorded with the (column, class) trainer that the class-major one replaced
+    TRAIN = "8860505f3eca5a6da5631ede10105418e39b5dd55937be0994bcb8024e91d8c3"
+    RUNS = [
+        "f7a92ba2488755aed5aab2c2a0e8497be78f5335694dd32fd29ebc49cbc9549c",
+        "417134cfa6d66661f4a37fd54614982dcff4c727fa4e33935078dc8265cc91a0",
+        "a8e5aa13bb0535e92d2ce4ba8945965a3c4b5ab0ad1279bc9e2cfdf099ebaa72",
+    ]
+
+    def test_train(self):
+        assert model_digest(*surrogate_model()) == self.TRAIN
+
+    def test_train_runs(self):
+        data, _, val, _ = surrogate_split()
+        rngs = [random.Random(seed) for seed in (1, 2, 3)]
+        runs = [augment_split(rng) for rng in rngs]
+        digests = []
+        for buckets, weights, bias, history in train_runs(runs, val, data.n_class, TrainConfig(), rngs):
+            model = LinearModel.zeros(data.n_class)
+            model.weights[:, buckets] = weights
+            model.bias = bias
+            digests.append(model_digest(model, history))
+        assert digests == self.RUNS
 
 
 class TestTrainRuns:
@@ -469,6 +527,12 @@ class TestTrainRuns:
             with pytest.raises(DomainError):
                 train_runs(runs, TOY_VAL, 2, TrainConfig(), rngs)
 
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_val_label_outside_classes_rejected(self, label):
+        val = TOY_VAL + [("pos3 pos4", label)]
+        with pytest.raises(DomainError, match=f"label {label} is outside"):
+            train_runs([hard_examples(TOY_TRAIN)], val, 2, TrainConfig(), [random.Random(0)])
+
 
 class TestEvaluate:
     def test_always_class_zero(self):
@@ -499,6 +563,13 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(LinearModel.zeros(2), [])
 
+    @pytest.mark.parametrize("label", [2, -1, 7])
+    def test_label_outside_classes_rejected(self, label):
+        # a label the model cannot predict is an input error, not a miss
+        data = [("x y", 0), ("z", label), ("w", 1)]
+        with pytest.raises(DomainError, match=f"label {label} is outside \\[0, 2\\): the model has 2 classes"):
+            evaluate(LinearModel.zeros(2), data)
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_matches_per_feature_logits(self, data):
@@ -525,6 +596,16 @@ class TestEvaluate:
             for z, (t, _) in zip(ref, pairs):
                 assert predict(model, t).tobytes() == softmax(z).tobytes()
 
+    def test_full_width_model_matches_per_feature_logits(self):
+        # the trained 2^18-bucket model, scored on every test sentence
+        data, *_ = surrogate_split()
+        model, _ = surrogate_model()
+        test = data.split("test")
+        ref = [loop_logits(model, scalar_featurize(t)) for t, _ in test]
+        for z, (t, _) in zip(ref, test):
+            assert predict(model, t).tobytes() == softmax(z).tobytes()
+        recount = sum(int(np.argmax(z)) == y for z, (_, y) in zip(ref, test))
+        assert evaluate(model, test) == recount / len(test)
 
     def test_terms_add_in_each_texts_own_order(self):
         # "x y" numbers x before y; "y x" must still add y's term first.

@@ -239,6 +239,25 @@ class TestTrainEvalCommands:
         assert main(["eval", "--model", str(model), "--input", str(dataset)]) == 2
         assert "do not fit" in capsys.readouterr().err
 
+    def test_eval_label_outside_model_classes_is_domain_error(
+        self, dataset, policy_file, tmp_path, capsys
+    ):
+        model = tmp_path / "model.npz"
+        assert main([
+            "train", "--input", str(dataset), "--policy", str(policy_file),
+            "--seed", "0", "--output", str(model),
+        ]) == 0
+        three = tmp_path / "three.jsonl"
+        three.write_text("".join(
+            json.dumps({"text": "fine movie", "label": f"c{i % 3}", "split": "test"}) + "\n"
+            for i in range(6)
+        ))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--input", str(three)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "label 2 is outside [0, 2): the model has 2 classes" in captured.err
+
     def test_malformed_label_sidecar_is_data_error(self, dataset, policy_file, tmp_path):
         (tmp_path / "data.jsonl.labels.json").write_text("[0, 1")
         code = main([
