@@ -12,16 +12,17 @@ scaled by learning_rate / len(batch); batch-mates that share a feature
 column add their steps there. Training early-stops on validation accuracy.
 One trainer, train_runs, trains k runs in lockstep (train is its k=1 call;
 a search trial trains its runs through it): all runs' texts and the val
-split are indexed in one call, and each run owns a disjoint block of dense
-columns in one weight matrix that, like the model's, holds one row per
-class. Each epoch lays out the runs' shuffled rows step by step and gathers
-them once; each step then takes one contiguous slice, one gather, one
-softmax and one flat 1-D scatter-add (np.add.at at class * n_columns +
-column) over the batches of the runs still going. Each run keeps its own
-shuffle rng, early-stop state, best snapshot and bias step, and every cell
-gets its adds in the order a training of its own would give it, so a run's
-results equal its own training's bit for bit; padding adds exact zeros to
-its run's bucket-0 column.
+split are indexed in one call, their buckets are mapped to dense columns
+once, and run r owns the r-th copy of those columns in one weight matrix
+that, like the model's, holds one row per class. Each epoch lays out the
+runs' shuffled rows step by step and gathers them once; each step then
+takes one contiguous slice, one gather, one softmax and one flat 1-D
+scatter-add (np.add.at at class * n_columns + column) over the batches of
+the runs still going. Each run keeps its own shuffle rng, early-stop state,
+best snapshot and bias step, and every cell gets its adds in the order a
+training of its own would give it, so a run's results equal its own
+training's bit for bit; padding adds exact zeros to its run's bucket-0
+column.
 Training, validation, evaluate and predict share one indexer (_index: rows
 keyed by bucket, so a row depends only on its text; only training renumbers
 buckets to dense columns) and one scoring routine (_logits: the bias plus
@@ -69,6 +70,7 @@ class LinearModel:
     weights: np.ndarray  # (n_class, N_BUCKETS)
     bias: np.ndarray  # (n_class,)
     n_class: int
+    labels: list[str] | None = None  # class names in index order, when known
 
     @staticmethod
     def zeros(n_class: int) -> "LinearModel":
@@ -216,15 +218,16 @@ def train_runs(
     snapshot (ties resolve to the earliest epoch). A val label outside
     [0, n_class) raises DomainError.
 
-    Each run trains on its own block of dense columns, one per bucket of its
-    train and val rows, in one weight matrix with one row per class. Each
-    epoch lays out the active runs' shuffled rows step by step, and within
-    a step run by run, and gathers them once; each step then scores and
-    scatters a contiguous slice, the batches of the runs still going, so
-    every run's history, snapshot and rng end state are those of its own
-    training alone. Returns per run (buckets, weights, bias, history): the
-    best snapshot's weights, one row per class and one column per bucket,
-    and its bias."""
+    The call maps its train and val rows' buckets to dense columns once, and
+    run r trains on columns [r * width, (r + 1) * width) of one weight matrix
+    with one row per class. Each epoch lays out the active runs' shuffled
+    rows step by step, and within a step run by run, and gathers them once;
+    each step then scores and scatters a contiguous slice, the batches of
+    the runs still going, so every run's history, snapshot and rng end state
+    are those of its own training alone. Returns per run (buckets, weights,
+    bias, history): the call's sorted buckets, the same for every run, and
+    the best snapshot's weights (one row per class and one column per
+    bucket) and bias."""
     if not runs or not all(runs):
         raise DomainError("empty training set")
     if not val:
@@ -232,11 +235,9 @@ def train_runs(
     if len(rngs) != len(runs):
         raise DomainError(f"{len(rngs)} rngs for {len(runs)} runs")
     examples = [ex for run in runs for ex in run]
-    for ex in examples:
-        if len(ex.soft_label) != n_class:
-            raise DomainError(
-                f"soft label has {len(ex.soft_label)} classes, expected {n_class}"
-            )
+    widths = {len(ex.soft_label) for ex in examples} - {n_class}
+    if widths:
+        raise DomainError(f"soft label has {widths.pop()} classes, expected {n_class}")
     val_y = _labels(val, n_class)
 
     k, lengths, bs = len(runs), [len(run) for run in runs], cfg.batch_size
@@ -244,21 +245,14 @@ def train_runs(
     ids, counts = _index([ex.text for ex in examples] + [text for text, _ in val])
     targets = np.array([ex.soft_label for ex in examples], dtype=float)
     n = len(examples)
-    # a run's rows and its copy of the val rows keyed by (run, bucket), so the
-    # runs' columns are disjoint blocks; padding keys its run's bucket 0
-    run_keys = np.arange(k) * N_BUCKETS
-    train_ids, val_ids = ids[:n], ids[n:]
-    keys = np.concatenate(
-        (np.repeat(run_keys, lengths)[:, None] + train_ids, run_keys[:, None, None] + val_ids),
-        axis=None,
-    )
-    codes, columns = np.unique(keys, return_inverse=True)
-    val_columns = columns[train_ids.size :].reshape(k, *val_ids.shape)
-    columns = columns[: train_ids.size].reshape(train_ids.shape)
-    val_counts, counts = counts[n:], counts[:n]
-    blocks = np.searchsorted(codes, np.append(run_keys, k * N_BUCKETS))
+    # one bucket -> column map for all runs; run r's train rows are offset to
+    # its block [r * width, (r + 1) * width), padding to its bucket-0 column
+    buckets, columns = np.unique(ids, return_inverse=True)
+    columns, width = columns.reshape(ids.shape), len(buckets)
+    val_columns, val_counts, counts = columns[n:], counts[n:], counts[:n]
+    columns = columns[:n] + np.repeat(np.arange(k) * width, lengths)[:, None]
 
-    weights = np.zeros((n_class, len(codes)))
+    weights = np.zeros((n_class, k * width))
     biases = np.zeros((k, n_class))
     best: list = [None] * k
     best_acc, stale, failed = [-1.0] * k, [0] * k, {}
@@ -277,7 +271,7 @@ def train_runs(
         run_of, step = np.repeat(active, [lengths[r] for r in active])[plan], step[plan]
         ids_e, counts_e, targets_e = columns[rows], counts[rows], targets[rows]
         # cell (class, column) sits at class * n_columns + column of the flat weights
-        cells_e = ids_e[:, None, :] + np.arange(n_class)[:, None] * len(codes)
+        cells_e = ids_e[:, None, :] + np.arange(n_class)[:, None] * (k * width)
         scale = cfg.learning_rate / np.minimum(bs, np.array(lengths)[run_of] - step * bs)
         scaled_e = -(scale[:, None] * counts_e)
         probs_e = np.empty_like(targets_e)
@@ -306,12 +300,13 @@ def train_runs(
             if not np.isfinite(mean_loss):
                 failed[r] = epoch
                 continue
-            preds = _logits(weights, biases[r], val_columns[r], val_counts).argmax(axis=1)
+            block = weights[:, r * width : (r + 1) * width]
+            preds = _logits(block, biases[r], val_columns, val_counts).argmax(axis=1)
             val_acc = np.count_nonzero(preds == val_y) / len(val)
             histories[r].append(EpochStats(epoch, mean_loss, val_acc))
             if val_acc > best_acc[r]:
                 best_acc[r], stale[r] = val_acc, 0
-                best[r] = (weights[:, blocks[r] : blocks[r + 1]].copy(), biases[r].copy())
+                best[r] = (block.copy(), biases[r].copy())
             else:
                 stale[r] += 1
         active = [r for r in active if r not in failed and stale[r] < cfg.patience]
@@ -321,10 +316,7 @@ def train_runs(
         # the first failing run's error, as separate trainings would raise it
         raise TrainingError(f"non-finite training loss at epoch {failed[min(failed)]}")
 
-    return [
-        (codes[blocks[r] : blocks[r + 1]] - run_keys[r], *best[r], histories[r])
-        for r in range(k)
-    ]
+    return [(buckets, *best[r], histories[r]) for r in range(k)]
 
 
 def train(
@@ -367,30 +359,36 @@ _CHECKPOINT_VERSION = 1
 
 
 def save_model(model: LinearModel, path):
-    """Checkpoint: compressed npz with version, n_class, weights, bias."""
+    """Checkpoint: compressed npz with version, n_class, weights, bias, and
+    labels (a string array) when the model has them."""
+    arrays = {"weights": model.weights, "bias": model.bias}
+    if model.labels is not None:
+        arrays["labels"] = np.array(model.labels, dtype=str)
     # write through a handle so numpy keeps the caller's extension as-is
     with open(path, "wb") as f:
         np.savez_compressed(
             f,
             version=np.int64(_CHECKPOINT_VERSION),
             n_class=np.int64(model.n_class),
-            weights=model.weights,
-            bias=model.bias,
+            **arrays,
         )
 
 
 def load_model(path) -> LinearModel:
     """Read a save_model checkpoint. A file that is not an npz archive, a
     missing or unreadable key, n_class below 2, a weights or bias shape that
-    does not match n_class and N_BUCKETS, or a non-finite value raises
-    DataError."""
+    does not match n_class and N_BUCKETS, a non-finite value, or labels that
+    are not n_class distinct strings raises DataError. A checkpoint without
+    labels loads with labels None."""
     try:
-        with np.load(path) as data:
+        # numpy leaves its own handle open when the archive is unreadable
+        with open(path, "rb") as f, np.load(f) as data:
             missing = [k for k in ("version", "n_class", "weights", "bias") if k not in data.files]
             if missing:
                 raise DataError(f"checkpoint {path}: missing {', '.join(missing)}")
             version, n_class = int(data["version"]), int(data["n_class"])
             weights, bias = data["weights"], data["bias"]
+            labels = data["labels"] if "labels" in data.files else None
         finite = np.isfinite(weights).all() and np.isfinite(bias).all()
     except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as e:
         raise DataError(f"checkpoint {path}: not a readable checkpoint ({e})") from e
@@ -405,4 +403,8 @@ def load_model(path) -> LinearModel:
         )
     if not finite:
         raise DataError(f"checkpoint {path}: non-finite weights or bias")
-    return LinearModel(weights, bias, n_class)
+    if labels is not None:
+        if labels.dtype.kind != "U" or labels.shape != (n_class,) or len(set(labels.tolist())) != n_class:
+            raise DataError(f"checkpoint {path}: labels {labels!r} are not {n_class} distinct names")
+        labels = labels.tolist()
+    return LinearModel(weights, bias, n_class, labels)

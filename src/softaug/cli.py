@@ -82,10 +82,6 @@ def _read_policy(path) -> AugmentationPolicy:
     return _read_json(path, "policy file", AugmentationPolicy.from_dict)
 
 
-def _eval_split(data):
-    return data.splits.get("test") or data.split("train")
-
-
 def _cmd_augment(args) -> int:
     data = load_dataset(args.input, args.format)
     policy = _read_policy(args.policy)
@@ -131,6 +127,7 @@ def _cmd_train(args) -> int:
         tr, val = make_val_split(data.split("train"), cfg.val_fraction, args.seed)
     examples = apply_policy(tr, data.n_class, policy, load_experiment_lexicon(args.lexicon), rng)
     model, history = train(examples, val, data.n_class, cfg.train, rng)
+    model.labels = data.label_names
     save_model(model, args.output)
     print(
         f"trained {len(history)} epochs, best val accuracy "
@@ -140,9 +137,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    data = load_dataset(args.input, args.format)
     model = load_model(args.model)
-    print(f"{evaluate(model, _eval_split(data)):.4f}")
+    data = load_dataset(args.input, args.format, model.labels)
+    print(f"{evaluate(model, data.splits.get('test') or data.split('train')):.4f}")
     return 0
 
 

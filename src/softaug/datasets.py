@@ -3,8 +3,8 @@
 A dataset file is CSV/TSV with a `text,label` header or JSON Lines with
 "text"/"label" keys; an optional `split` column/key assigns rows to
 train/val/test (default train). Label strings map to contiguous class
-indices, either via a `<path>.labels.json` sidecar (a JSON array fixing
-the order) or by first appearance in the file.
+indices in the order of a list of names the caller passes, of a
+`<path>.labels.json` sidecar (a JSON array), or of first appearance.
 """
 from __future__ import annotations
 
@@ -43,9 +43,10 @@ class LabeledDataset:
         return part
 
 
-def load_dataset(path, fmt: str | None = None, name: str | None = None) -> LabeledDataset:
-    """Load CSV/TSV/JSONL into a LabeledDataset. fmt defaults from the
-    file extension. Raises DataError naming the offending line."""
+def load_dataset(path, fmt: str | None = None, labels: list[str] | None = None) -> LabeledDataset:
+    """Load CSV/TSV/JSONL into a LabeledDataset. fmt defaults from the file
+    extension; `labels` fixes the class order as a sidecar does, and wins
+    over one. Raises DataError naming the offending line."""
     path = Path(path)
     if fmt is None:
         fmt = {".csv": "csv", ".tsv": "tsv", ".jsonl": "jsonl"}.get(path.suffix)
@@ -54,12 +55,11 @@ def load_dataset(path, fmt: str | None = None, name: str | None = None) -> Label
     if fmt not in ("csv", "tsv", "jsonl"):
         raise DataError(f"unsupported format {fmt!r}")
 
-    label_map: dict[str, int] = {}
-    fixed_labels = False
     sidecar = path.with_name(path.name + ".labels.json")
-    if sidecar.exists():
-        label_map = {lbl: i for i, lbl in enumerate(_read_label_names(sidecar))}
-        fixed_labels = True
+    if labels is None and sidecar.exists():
+        labels = _read_label_names(sidecar)
+    fixed_labels = labels is not None
+    label_map = {lbl: i for i, lbl in enumerate(labels or ())}
 
     try:
         rows = _read_rows(path, fmt)
@@ -80,7 +80,7 @@ def load_dataset(path, fmt: str | None = None, name: str | None = None) -> Label
 
     label_names = [lbl for lbl, _ in sorted(label_map.items(), key=lambda kv: kv[1])]
     return LabeledDataset(
-        name=name or path.stem,
+        name=path.stem,
         n_class=len(label_map),
         splits={s: part for s, part in splits.items() if part},
         label_names=label_names,
@@ -253,17 +253,16 @@ _TEMPLATES = [
     "overall the {noun} seemed {adj} even if the {noun2} looked {adj2}",
     "this {noun} is {adj} and its {noun2} is downright {adj2}",
 ]
+_N_TRAIN, _N_TEST = 2000, 600
+_NOISE = 0.08  # the chance a sentence mixes in one word from the opposite class
 
 
-def make_synthetic_reviews(
-    n_train: int = 2000, n_test: int = 600, seed: int = 7, noise: float = 0.08
-) -> LabeledDataset:
+def make_synthetic_reviews(seed: int = 7) -> LabeledDataset:
     """Deterministic 2-class movie-review surrogate for desk-scale runs.
 
     Sentiment words come from synonym families present in the bundled
     lexicon, so synonym-based augmentation can surface words a small
-    subsample never saw. `noise` is the chance a sentence mixes in one
-    word from the opposite class.
+    subsample never saw.
     """
     rng = random.Random(seed)
 
@@ -272,7 +271,7 @@ def make_synthetic_reviews(
         other = _NEG_FAMILIES if label == 1 else _POS_FAMILIES
         adj = rng.choice(rng.choice(families))
         adj2 = rng.choice(rng.choice(families))
-        if rng.random() < noise:
+        if rng.random() < _NOISE:
             adj2 = rng.choice(rng.choice(other))
         noun, noun2 = rng.sample(_NOUNS, 2)
         template = rng.choice(_TEMPLATES)
@@ -284,6 +283,6 @@ def make_synthetic_reviews(
     return LabeledDataset(
         name="synthetic-reviews",
         n_class=2,
-        splits={"train": build(n_train), "test": build(n_test)},
+        splits={"train": build(_N_TRAIN), "test": build(_N_TEST)},
         label_names=["negative", "positive"],
     )

@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 _LOG_FLOOR = 1e-12  # clamp for log() so zero predictions stay finite
+_SUM_TOL = 1e-9  # how far a soft label's sum may stray from 1
 
 
 def smooth_label(y: int, n_class: int, epsilon: float) -> np.ndarray:
@@ -61,6 +62,6 @@ def soft_ce_gradient(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
     return softmax(logits) - target
 
 
-def is_soft_label(probs: np.ndarray, tol: float = 1e-9) -> bool:
+def is_soft_label(probs: np.ndarray) -> bool:
     probs = np.asarray(probs, dtype=float)
-    return bool(probs.ndim == 1 and (probs >= 0).all() and abs(probs.sum() - 1.0) <= tol)
+    return bool(probs.ndim == 1 and (probs >= 0).all() and abs(probs.sum() - 1.0) <= _SUM_TOL)

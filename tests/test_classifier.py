@@ -510,6 +510,24 @@ class TestTrainRuns:
         seeds = data.draw(st.lists(st.integers(0, 100), min_size=len(runs), max_size=len(runs)))
         assert_runs_equal_separate_trainings(runs, val, n_class, cfg, seeds)
 
+    def test_runs_share_one_column_map(self):
+        examples, val = golden_fixture()
+        runs = [examples[:10], examples[10:20], examples[20:]]
+        rngs = [random.Random(seed) for seed in range(3)]
+        fits = train_runs(runs, val, 3, TestTrainSemantics.GOLDEN_CFG, rngs)
+        rows = [scalar_featurize(text) for text in [ex.text for ex in examples] + [t for t, _ in val]]
+        # rows with fewer keys than the widest are padded with bucket 0
+        padded = {0} if len({len(row) for row in rows}) > 1 else set()
+        union = sorted(set().union(*rows) | padded)
+        for run, (buckets, weights, *_) in zip(runs, fits):
+            np.testing.assert_array_equal(buckets, union)
+            own = set().union(*(scalar_featurize(ex.text) for ex in run))
+            unused = ~np.isin(buckets, list(own))
+            assert unused.any() and weights[:, ~unused].any()
+            # exactly +0.0: no step, not even a signed zero, reached them
+            assert not weights[:, unused].any()
+            assert not np.signbit(weights[:, unused]).any()
+
     def test_first_failing_runs_error(self):
         # at this learning rate the logits overflow: run 0 fails at epoch 3,
         # run 1 at epoch 2, and separate trainings would raise run 0's error
@@ -647,8 +665,12 @@ class TestCheckpoint:
         )
         path = tmp_path / "model.bin"
         save_model(model, path)
+        assert load_model(path).labels is None
+        model.labels = ["neg", "pos"]
+        save_model(model, path)
         loaded = load_model(path)
         assert loaded.n_class == 2
+        assert loaded.labels == ["neg", "pos"]
         np.testing.assert_array_equal(loaded.weights, model.weights)
         np.testing.assert_array_equal(loaded.bias, model.bias)
         for text, _ in TOY_TRAIN[:3]:
@@ -667,6 +689,13 @@ class TestCheckpoint:
                                 bias=np.zeros(1)), "at least 2"),
             (lambda a: a.update(n_class=np.zeros(2)), "not a readable"),
             (lambda a: a.update(weights=np.full((2, N_BUCKETS), "w")), "not a readable"),
+            (lambda a: a.update(labels=np.array(["neg"])), "not 2 distinct names"),
+            (lambda a: a.update(labels=np.array(["neg", "pos", "mixed"])), "not 2 distinct names"),
+            (lambda a: a.update(labels=np.array(["neg", "neg"])), "not 2 distinct names"),
+            (lambda a: a.update(labels=np.array([0, 1])), "not 2 distinct names"),
+            (lambda a: a.update(labels=np.array([["neg", "pos"]])), "not 2 distinct names"),
+            (lambda a: a.update(labels=np.array("neg")), "not 2 distinct names"),
+            (lambda a: a.update(labels=np.array(["neg", None], dtype=object)), "not a readable"),
         ],
     )
     def test_malformed_checkpoint_rejected(self, tmp_path, change, message):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from softaug import cli
-from softaug.classifier import load_model
+from softaug.classifier import load_model, save_model
 from softaug.cli import main
 from softaug.errors import TrainingError
 from softaug.policy import AugmentationPolicy
@@ -256,7 +256,32 @@ class TestTrainEvalCommands:
         assert main(["eval", "--model", str(model), "--input", str(three)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert "three.jsonl row 1: unknown label 'c0'" in captured.err
+        # a checkpoint without label names maps the file's labels by first
+        # appearance, and the third one is outside the model's classes
+        unnamed = load_model(model)
+        unnamed.labels = None
+        save_model(unnamed, model)
+        assert main(["eval", "--model", str(model), "--input", str(three)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert "label 2 is outside [0, 2): the model has 2 classes" in captured.err
+
+    def test_eval_accuracy_does_not_depend_on_row_order(self, dataset, policy_file, tmp_path, capsys):
+        model = tmp_path / "model.npz"
+        assert main([
+            "train", "--input", str(dataset), "--policy", str(policy_file),
+            "--seed", "0", "--output", str(model),
+        ]) == 0
+        # the fixture's 20 test rows start with label 0; reversed, with label 1
+        rows = dataset.read_text().splitlines(keepends=True)[60:]
+        outputs = []
+        for name, lines in [("zero_first.jsonl", rows), ("one_first.jsonl", rows[::-1])]:
+            (tmp_path / name).write_text("".join(lines))
+            capsys.readouterr()
+            assert main(["eval", "--model", str(model), "--input", str(tmp_path / name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == ["1.0000\n", "1.0000\n"]
 
     def test_malformed_label_sidecar_is_data_error(self, dataset, policy_file, tmp_path):
         (tmp_path / "data.jsonl.labels.json").write_text("[0, 1")

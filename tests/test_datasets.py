@@ -53,6 +53,16 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="row 2"):
             load_dataset(path)
 
+    def test_labels_argument_fixes_order_over_a_sidecar(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "a", "label": "pos"}\n{"text": "b", "label": "neg"}\n')
+        (tmp_path / "d.jsonl.labels.json").write_text(json.dumps(["pos", "neg"]))
+        ds = load_dataset(path, labels=["neg", "pos", "mixed"])
+        assert ds.n_class == 3 and ds.label_names == ["neg", "pos", "mixed"]
+        assert ds.split("train") == [("a", 1), ("b", 0)]
+        with pytest.raises(DataError, match="row 1: unknown label 'pos'"):
+            load_dataset(path, labels=["neg", "other"])
+
     @pytest.mark.parametrize(
         "sidecar, message",
         [
