@@ -23,10 +23,11 @@ best snapshot and bias step, and every cell gets its adds in the order a
 training of its own would give it, so a run's results equal its own
 training's bit for bit; padding adds exact zeros to its run's bucket-0
 column.
-Training, validation, evaluate and predict share one indexer (_index: rows
-keyed by bucket, so a row depends only on its text; only training renumbers
-buckets to dense columns) and one scoring routine (_logits: the bias plus
-the first term, then each further term in first-occurrence order). The
+Training, validation, evaluate, fit_accuracy and predict share one indexer
+(_index: rows keyed by bucket, so a row depends only on its text; training
+renumbers buckets to dense columns, and fit_accuracy maps rows onto a fit's)
+and one scoring routine (_logits: the bias plus the first term, then each
+further term in first-occurrence order). The
 indexer hashes in numpy, one step per byte position over a padded byte
 matrix of the batch's distinct tokens; a distinct bigram a_b continues a's
 64-bit state over "_" and b, so no bigram string is built. featurize(text)
@@ -53,6 +54,7 @@ __all__ = [
     "featurize",
     "train",
     "train_runs",
+    "fit_accuracy",
     "predict",
     "evaluate",
     "save_model",
@@ -207,7 +209,7 @@ def train_runs(
     n_class: int,
     cfg: TrainConfig,
     rngs: list[random.Random],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[EpochStats]]]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[EpochStats]] | TrainingError]:
     """Train one model per run in lockstep, run i shuffling with rngs[i]:
     mini-batch SGD with per-epoch shuffling, where each batch is scored
     with the pre-batch weights, then one scatter-add steps every feature
@@ -227,7 +229,8 @@ def train_runs(
     are those of its own training alone. Returns per run (buckets, weights,
     bias, history): the call's sorted buckets, the same for every run, and
     the best snapshot's weights (one row per class and one column per
-    bucket) and bias."""
+    bucket) and bias; or, for a run whose loss went non-finite, the
+    TrainingError its own training would raise, while the others train on."""
     if not runs or not all(runs):
         raise DomainError("empty training set")
     if not val:
@@ -246,10 +249,12 @@ def train_runs(
     targets = np.array([ex.soft_label for ex in examples], dtype=float)
     n = len(examples)
     # one bucket -> column map for all runs; run r's train rows are offset to
-    # its block [r * width, (r + 1) * width), padding to its bucket-0 column
+    # its block [r * width, (r + 1) * width), padding to its bucket-0 column;
+    # neither the indexer's ids nor the full inverse outlives the mapping
     buckets, columns = np.unique(ids, return_inverse=True)
     columns, width = columns.reshape(ids.shape), len(buckets)
-    val_columns, val_counts, counts = columns[n:], counts[n:], counts[:n]
+    del ids
+    val_columns, val_counts, counts = columns[n:].copy(), counts[n:], counts[:n]
     columns = columns[:n] + np.repeat(np.arange(k) * width, lengths)[:, None]
 
     weights = np.zeros((n_class, k * width))
@@ -292,6 +297,7 @@ def train_runs(
                 biases[r] -= cfg.learning_rate / size * g[end : end + size].sum(axis=0)
                 end += size
             lo = hi
+        del ids_e, counts_e, cells_e, scaled_e  # freed before the next epoch builds its own
 
         losses_e = soft_cross_entropy(probs_e, targets_e)
         for r in active:
@@ -312,11 +318,11 @@ def train_runs(
         active = [r for r in active if r not in failed and stale[r] < cfg.patience]
         if not active:
             break
-    if failed:
-        # the first failing run's error, as separate trainings would raise it
-        raise TrainingError(f"non-finite training loss at epoch {failed[min(failed)]}")
-
-    return [(buckets, *best[r], histories[r]) for r in range(k)]
+    return [
+        TrainingError(f"non-finite training loss at epoch {failed[r]}") if r in failed
+        else (buckets, *best[r], histories[r])
+        for r in range(k)
+    ]
 
 
 def train(
@@ -330,11 +336,29 @@ def train(
     holds the run's columns in its 2^18 buckets and is zero elsewhere, and
     the epoch history. Batches and validation are scored with _logits, so
     their logits match the returned model's bit for bit."""
-    [(buckets, weights, bias, history)] = train_runs([train_examples], val, n_class, cfg, [rng])
+    [fit] = train_runs([train_examples], val, n_class, cfg, [rng])
+    if isinstance(fit, TrainingError):
+        raise fit
+    buckets, weights, bias, history = fit
     model = LinearModel.zeros(n_class)
     model.weights[:, buckets] = weights
     model.bias = bias
     return model, history
+
+
+def fit_accuracy(fit, ids: np.ndarray, counts: np.ndarray, y: np.ndarray) -> float:
+    """evaluate of the model train builds from a train_runs fit, on _index rows
+    (ids, counts) labelled y, scored on the fit's own columns: a bucket it does
+    not hold scores +0.0, as in that model. A failed run's fit raises its error."""
+    if isinstance(fit, TrainingError):
+        raise fit
+    buckets, weights, bias, _ = fit
+    at = np.searchsorted(buckets, ids)
+    # a bucket the fit does not hold reads the appended zero column
+    columns = np.where(np.append(buckets, -1)[at] == ids, at, len(buckets))
+    weights = np.hstack([weights, np.zeros((len(weights), 1))])
+    preds = _logits(weights, bias, columns, counts).argmax(axis=1)
+    return np.count_nonzero(preds == y) / len(y)
 
 
 def predict(model: LinearModel, text: str) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Experiment harness: per-method runs, multi-seed sweeps, and reporting.
 
 For each seed the harness redraws a stratified low-resource subsample,
-carves a validation holdout out of it, runs every requested method, and
-evaluates on the untouched test split. Cells are aggregated as mean and
-sample (n-1) standard deviation over seeds, in percent. A run makes one
-(dataset, n_train) column, rendered as one `mean±std` cell per method:
-the best mean gets a trailing `*`, cells below the baseline row a `!`.
+carves a validation holdout out of it, builds every requested method's
+training set, trains them in one lockstep train_runs call, and scores each
+fit on the untouched test split, indexed once per experiment. Cells are
+aggregated as mean and sample (n-1) standard deviation over seeds, in
+percent. A run makes one (dataset, n_train) column, rendered as one
+`mean±std` cell per method: the best mean gets a trailing `*`, cells below
+the baseline row a `!`.
 """
 from __future__ import annotations
 
@@ -18,10 +20,10 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .classifier import TrainConfig, evaluate, train
+from .classifier import TrainConfig, _index, _labels, fit_accuracy, train_runs
 from .datasets import Example, LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
-from .errors import DomainError, SoftAugError, is_int, is_real, require_counts
-from .policy import AugmentationPolicy, PolicySpace, apply_policy
+from .errors import DataError, DomainError, SoftAugError, is_int, is_real, require_counts
+from .policy import AugmentationPolicy, AugmentedExample, PolicySpace, apply_policy
 from .search import _SEED_RANGE, SearchConfig, optimize
 from .textops import SynonymLexicon, load_bundled_lexicon, load_lexicon
 
@@ -181,16 +183,15 @@ def run_method(
     method: str,
     train_split,
     val_split,
-    test_split,
     n_class: int,
     lex: SynonymLexicon,
     cfg: ExperimentConfig,
     seed: int,
     artifacts_dir: Path | None = None,
-) -> float:
-    """One (method, seed) cell: build the training set with the method's
-    policy (searched for ours/ours_no_ls, fixed otherwise), train, and
-    return test accuracy in [0, 1]."""
+) -> tuple[list[AugmentedExample], random.Random]:
+    """One (method, seed) cell's training set: the train split augmented
+    with the method's policy (searched for ours/ours_no_ls, fixed
+    otherwise), and the random.Random that then shuffles its training."""
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
     rng = random.Random(seed)
@@ -211,9 +212,7 @@ def run_method(
         policy = _fixed_policy(method, cfg.fixed)
 
     op = "aeda" if method == "aeda" else "eda"
-    examples = apply_policy(train_split, n_class, policy, lex, rng, op=op)
-    model, _ = train(examples, val_split, n_class, cfg.train, rng)
-    return evaluate(model, test_split)
+    return apply_policy(train_split, n_class, policy, lex, rng, op=op), rng
 
 
 def _load_experiment_dataset(cfg: ExperimentConfig) -> LabeledDataset:
@@ -238,35 +237,47 @@ def seed_splits(
 
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Full multi-seed sweep over cfg.methods. Per seed: subsample the
-    train split to n_train, carve the validation holdout, run each
-    method, score on the test split. A cell that raises a SoftAugError is
-    recorded and excluded rather than aborting the sweep (any other error
-    propagates); with an output directory, its traceback goes to
-    failure_<method>_seed<seed>.txt."""
+    train split to n_train, carve the validation holdout, build each
+    method's training set, train the sets in one train_runs call, and score
+    each fit on the test split. A cell whose set building or training raises
+    a SoftAugError is recorded and excluded rather than aborting the sweep
+    (any other error propagates); with an output directory, its traceback
+    goes to failure_<method>_seed<seed>.txt. A dataset with fewer than two
+    classes raises DataError before any cell runs."""
     data = _load_experiment_dataset(cfg)
+    if data.n_class < 2:
+        raise DataError(f"dataset {data.name!r} has {data.n_class} class; a comparison needs at least 2")
     lex = load_experiment_lexicon(cfg.lexicon_path)
     test_split = data.split("test")
+    # the same split for every seed: indexed once, then scored by each fit
+    test_rows = (*_index([text for text, _ in test_split]), _labels(test_split, data.n_class))
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     scores: dict[str, list[float]] = {m: [] for m in cfg.methods}
     failures: dict[str, list[int]] = {m: [] for m in cfg.methods}
+
+    def fail(method: str, seed: int):  # in an except block: degrade, don't abort the sweep
+        failures[method].append(seed)
+        if out_dir:
+            _atomic_write(out_dir / f"failure_{method}_seed{seed}.txt", traceback.format_exc())
+
     for seed in cfg.seeds:
         tr, val = seed_splits(data, cfg, seed)
+        sets = {}
         for method in cfg.methods:
             try:
-                acc = run_method(
-                    method, tr, val, test_split, data.n_class, lex, cfg, seed, out_dir
-                )
-            except SoftAugError:  # degrade, don't abort the sweep
-                failures[method].append(seed)
-                if out_dir:
-                    _atomic_write(
-                        out_dir / f"failure_{method}_seed{seed}.txt", traceback.format_exc()
-                    )
-                continue
-            scores[method].append(acc * 100.0)
+                sets[method] = run_method(method, tr, val, data.n_class, lex, cfg, seed, out_dir)
+            except SoftAugError:
+                fail(method, seed)
+        runs, rngs = [s for s, _ in sets.values()], [r for _, r in sets.values()]
+        fits = train_runs(runs, val, data.n_class, cfg.train, rngs) if runs else []
+        for method, fit in zip(sets, fits):
+            try:
+                scores[method].append(fit_accuracy(fit, *test_rows) * 100.0)
+            except SoftAugError:
+                fail(method, seed)
 
     report = EvalReport([
         ReportCell(m, data.name, cfg.n_train, *_mean_std(scores[m]), tuple(scores[m]),

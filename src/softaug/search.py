@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .classifier import TrainConfig, train_runs
-from .errors import DomainError, is_real, require_counts
+from .errors import DomainError, TrainingError, is_real, require_counts
 from .policy import AugmentationPolicy, PolicySpace, _renormalize, apply_policy, sample_policy
 from .textops import SynonymLexicon
 
@@ -205,6 +205,9 @@ def objective(
     rngs = [random.Random(rng.randrange(_SEED_RANGE)) for _ in range(cfg.runs_per_trial)]
     runs = [apply_policy(train_split, n_class, policy, lex, run_rng) for run_rng in rngs]
     fits = train_runs(runs, val_split, n_class, train_cfg, rngs)
+    for fit in fits:  # the first failed run's error, as separate trainings would raise it
+        if isinstance(fit, TrainingError):
+            raise fit
     run_scores = tuple(max(h.val_accuracy for h in history) for *_, history in fits)
     return run_scores, sum(run_scores) / len(run_scores)
 

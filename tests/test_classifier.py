@@ -15,6 +15,7 @@ from softaug.classifier import (
     TrainConfig,
     evaluate,
     featurize,
+    fit_accuracy,
     load_model,
     predict,
     save_model,
@@ -535,9 +536,28 @@ class TestTrainRuns:
         cfg = replace(TestTrainSemantics.GOLDEN_CFG, learning_rate=5e307)
         with np.errstate(all="ignore"), pytest.raises(TrainingError) as solo:
             train(examples[:8], val, 3, cfg, random.Random(1))
-        with np.errstate(all="ignore"), pytest.raises(TrainingError) as lockstep:
-            train_runs([examples[:8]] * 2, val, 3, cfg, [random.Random(1), random.Random(0)])
-        assert str(lockstep.value) == str(solo.value) == "non-finite training loss at epoch 3"
+        with np.errstate(all="ignore"):
+            fits = train_runs([examples[:8]] * 2, val, 3, cfg, [random.Random(1), random.Random(0)])
+        # each failed run reports its own error in its place
+        assert all(isinstance(fit, TrainingError) for fit in fits)
+        assert str(fits[0]) == str(solo.value) == "non-finite training loss at epoch 3"
+        assert str(fits[1]) == "non-finite training loss at epoch 2"
+
+    def test_failed_run_leaves_the_others_as_trained_alone(self):
+        # a NaN target makes run 1's loss non-finite in its first epoch;
+        # runs 0 and 2 train on, each as its own training would
+        examples, val = golden_fixture()
+        poisoned = [replace(examples[0], soft_label=np.full(3, np.nan))] + examples[1:12]
+        runs = [examples[:10], poisoned, examples[12:]]
+        cfg = TestTrainSemantics.GOLDEN_CFG
+        fits = train_runs(runs, val, 3, cfg, [random.Random(seed) for seed in range(3)])
+        assert str(fits[1]) == "non-finite training loss at epoch 1"
+        for r in (0, 2):
+            model, history = train(runs[r], val, 3, cfg, random.Random(r))
+            buckets, weights, bias, fit_history = fits[r]
+            assert fit_history == history
+            np.testing.assert_array_equal(model.weights[:, buckets], weights)
+            np.testing.assert_array_equal(model.bias, bias)
 
     def test_inputs_rejected(self):
         run = hard_examples(TOY_TRAIN)
@@ -550,6 +570,48 @@ class TestTrainRuns:
         val = TOY_VAL + [("pos3 pos4", label)]
         with pytest.raises(DomainError, match=f"label {label} is outside"):
             train_runs([hard_examples(TOY_TRAIN)], val, 2, TrainConfig(), [random.Random(0)])
+
+
+class TestFitAccuracy:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_evaluate_of_trained_model(self, data):
+        # the test texts draw on words no training row holds, so some of
+        # their buckets are outside every fit's columns
+        n_class = data.draw(st.integers(2, 4))
+        text = lambda words: st.lists(st.sampled_from(words), max_size=6).map(" ".join)
+        seen, unseen = ["a", "B", "c", "dd", "e"], ["x", "Yy", "z"]
+        labeled = lambda words: st.tuples(text(words), st.integers(0, n_class - 1))
+        runs = [
+            [AugmentedExample(t, smooth_label(y, n_class, 0.1), "original", i) for i, (t, y) in enumerate(pairs)]
+            for pairs in data.draw(st.lists(st.lists(labeled(seen), min_size=1, max_size=10), min_size=1, max_size=3))
+        ]
+        val = data.draw(st.lists(labeled(seen), min_size=1, max_size=4))
+        test = data.draw(st.lists(labeled(seen + unseen), min_size=1, max_size=10))
+        cfg = TrainConfig(
+            learning_rate=data.draw(st.sampled_from([0.05, 0.5, 2.0])),
+            batch_size=data.draw(st.integers(1, 8)),
+            max_epochs=3,
+            patience=3,
+        )
+        fits = train_runs(runs, val, n_class, cfg, [random.Random(seed) for seed in range(len(runs))])
+        ids, counts = classifier._index([t for t, _ in test])
+        y = classifier._labels(test, n_class)
+        for seed, (run, fit) in enumerate(zip(runs, fits)):
+            model, _ = train(run, val, n_class, cfg, random.Random(seed))
+            assert fit_accuracy(fit, ids, counts, y) == evaluate(model, test)
+
+    def test_unheld_buckets_score_zero(self):
+        # a model that holds only "good": "bad" reads +0.0, so the bias decides
+        buckets = np.array(sorted(featurize("good")))
+        fit = (buckets, np.array([[-1.0], [1.0]]), np.array([0.5, 0.0]), [])
+        test = [("good", 1), ("bad", 0), ("", 0)]
+        ids, counts = classifier._index([t for t, _ in test])
+        assert fit_accuracy(fit, ids, counts, classifier._labels(test, 2)) == 1.0
+
+    def test_failed_run_raises_its_error(self):
+        with pytest.raises(TrainingError, match="at epoch 2"):
+            fit_accuracy(TrainingError("non-finite training loss at epoch 2"), None, None, None)
 
 
 class TestEvaluate:

@@ -330,6 +330,26 @@ class TestCompareCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert {c["method"] for c in report["cells"]} == {"baseline", "eda"}
 
+    def test_one_label_dataset_is_data_error(self, policy_file, tmp_path, capsys):
+        # every cell would fail alike, so the run stops before any cell runs
+        path = tmp_path / "one.jsonl"
+        with open(path, "w") as f:
+            for i in range(40):
+                row = {"text": f"fine movie {i}", "label": "pos", "split": "test" if i >= 30 else "train"}
+                f.write(json.dumps(row) + "\n")
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"dataset_path": str(path), "n_train": 20, "output_dir": str(out)}))
+        assert main(["compare", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dataset 'one' has 1 class; a comparison needs at least 2\n"
+        assert not out.exists()
+        # train and search reject the same file with the same exit code
+        args = ["--input", str(path), "--seed", "0", "--output", str(tmp_path / "m")]
+        assert main(["train", "--policy", str(policy_file), *args]) == 2
+        assert main(["search", "--n-train", "20", "--trials", "2", *args]) == 2
+
     def test_train_seed_key_rejected(self, tmp_path):
         # TrainConfig has no seed: training randomness comes from the cell seeds
         path = tmp_path / "exp.json"

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from softaug import harness
-from softaug.classifier import TrainConfig
+from softaug.classifier import TrainConfig, _index, _labels, fit_accuracy, train_runs
 from softaug.datasets import LabeledDataset, make_synthetic_reviews
 from softaug.errors import DomainError, TrainingError
 from softaug.harness import (
@@ -13,12 +15,14 @@ from softaug.harness import (
     ExperimentConfig,
     FixedMethodParams,
     ReportCell,
+    _fixed_policy,
     format_cell,
     render_report,
     run_experiment,
     run_method,
     seed_splits,
 )
+from softaug.policy import apply_policy
 from softaug.search import SearchConfig
 from softaug.textops import load_bundled_lexicon
 
@@ -39,20 +43,24 @@ FAST_CFG = ExperimentConfig(
 )
 
 
+def cell_accuracy(method, test, seed):
+    """A (method, seed) cell's test accuracy on the separable splits, trained
+    and scored as run_experiment trains and scores it."""
+    examples, rng = run_method(method, SEP_TRAIN, SEP_VAL, 2, LEX, FAST_CFG, seed)
+    [fit] = train_runs([examples], SEP_VAL, 2, FAST_CFG.train, [rng])
+    return fit_accuracy(fit, *_index([text for text, _ in test]), _labels(test, 2))
+
+
 class TestRunMethod:
     def test_baseline_separable_perfect(self):
-        acc = run_method("baseline", SEP_TRAIN, SEP_VAL, SEP_TEST, 2, LEX, FAST_CFG, 0)
-        assert acc == 1.0
+        assert cell_accuracy("baseline", SEP_TEST, 0) == 1.0
 
     def test_eda_and_baseline_emit_valid_accuracy(self):
         for method in ("eda", "aeda", "softeda_fixed"):
-            acc = run_method(method, SEP_TRAIN, SEP_VAL, SEP_TEST, 2, LEX, FAST_CFG, 0)
-            assert 0.0 <= acc <= 1.0
+            assert 0.0 <= cell_accuracy(method, SEP_TEST, 0) <= 1.0
 
     def test_ours_no_ls_trial_log_all_zero_eps(self, tmp_path):
-        run_method(
-            "ours_no_ls", SEP_TRAIN, SEP_VAL, SEP_TEST, 2, LEX, FAST_CFG, 0, tmp_path
-        )
+        run_method("ours_no_ls", SEP_TRAIN, SEP_VAL, 2, LEX, FAST_CFG, 0, tmp_path)
         lines = (tmp_path / "trials_ours_no_ls_seed0.jsonl").read_text().splitlines()
         assert len(lines) == FAST_CFG.search.n_trials
         for line in lines:
@@ -62,7 +70,17 @@ class TestRunMethod:
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
-            run_method("magic", SEP_TRAIN, SEP_VAL, SEP_TEST, 2, LEX, FAST_CFG, 0)
+            run_method("magic", SEP_TRAIN, SEP_VAL, 2, LEX, FAST_CFG, 0)
+
+    def test_returns_training_set_and_its_rng(self):
+        # softeda_fixed: the originals, then n_aug copies of each, and the
+        # rng that augmented them, to shuffle their training next
+        examples, rng = run_method("softeda_fixed", SEP_TRAIN, SEP_VAL, 2, LEX, FAST_CFG, 0)
+        assert len(examples) == len(SEP_TRAIN) * (1 + FAST_CFG.fixed.n_aug)
+        assert [ex.text for ex in examples[: len(SEP_TRAIN)]] == [text for text, _ in SEP_TRAIN]
+        fresh = random.Random(0)
+        apply_policy(SEP_TRAIN, 2, _fixed_policy("softeda_fixed", FAST_CFG.fixed), LEX, fresh)
+        assert rng.getstate() == fresh.getstate()
 
     @pytest.mark.parametrize(
         "method, expected",
@@ -78,11 +96,7 @@ class TestRunMethod:
         # every pos/neg pair labelled positive: the accuracy reads which learned
         # weights are larger, so it pins the exact training set and rng stream
         mixed = [(f"pos{i} neg{j}", 1) for i in range(8) for j in range(8)]
-        got = tuple(
-            run_method(method, SEP_TRAIN, SEP_VAL, mixed, 2, LEX, FAST_CFG, seed)
-            for seed in (0, 1)
-        )
-        assert got == expected
+        assert tuple(cell_accuracy(method, mixed, seed) for seed in (0, 1)) == expected
 
 
 def tiny_dataset_file(tmp_path, n=40):
@@ -137,17 +151,46 @@ class TestRunExperiment:
             outputs.append((tmp_path / run / "report.json").read_bytes())
         assert outputs[0] == outputs[1]
 
+    # sha256 of every file of a six-method, two-seed run on the bundled
+    # surrogate: pins the searched methods' accuracies, trial logs and best
+    # policies along with the fixed methods'
+    SIX_METHOD_GOLDEN = {
+        "best_policy_ours_no_ls_seed0.json": "8d31b07129301fa33943dce8454be772b8fea005d2be03e8f8f3793fbcfc7a7b",
+        "best_policy_ours_no_ls_seed1.json": "05f76addd12135d8fb0be5f246e8114d6d8fe8ea266f117dd28e7640700cf6c5",
+        "best_policy_ours_seed0.json": "f440c1425827e0dd49cd6adc4f00cef7f5a4403591a4e95d00c61b053a4f6e4f",
+        "best_policy_ours_seed1.json": "8099b1f65b34316e13b1cc979d94fc81d7058a815e8758bdbf45fc5d2f356b00",
+        "report.json": "f623d725f813f7db77c91a3dcda3ffa0d69d2738f9f8b9a6dd662de60f8fac4d",
+        "report.txt": "8a8550696d6d6fdb267f84462a9a1d1592a8fa7e24b4ee4c9df11002d0ab4e9a",
+        "trials_ours_no_ls_seed0.jsonl": "318d1949b45de653091d3752bc656fd4e924854f28ee057125da5258ce545e1a",
+        "trials_ours_no_ls_seed1.jsonl": "9220157d6140421424d8dbf5952bc11293baad980304805edd899fd208faa1c8",
+        "trials_ours_seed0.jsonl": "1e7d8f00d6c9c88baf474160ffe329fe8ccd7d9c3d7b61ee950027cfa80c002f",
+        "trials_ours_seed1.jsonl": "7dc041446b60686962e7ef9356ae109dcb72e1c8397cd548e7882833899200e8",
+    }
+
+    def test_six_method_golden(self, tmp_path):
+        cfg = ExperimentConfig(
+            n_train=40,
+            seeds=(0, 1),
+            train=TrainConfig(max_epochs=4, patience=4),
+            search=SearchConfig(n_trials=3, n_startup=2),
+            output_dir=str(tmp_path),
+        )
+        run_experiment(cfg)
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert digests == self.SIX_METHOD_GOLDEN
+
     def test_failed_cell_writes_traceback(self, tmp_path, monkeypatch):
         calls = []
 
-        def train_failing_second_call(*args):
-            calls.append(args)
-            if len(calls) == 2:  # seed 0, method eda
-                raise TrainingError("forced failure")
-            return real_train(*args)
+        def train_runs_failing_eda_seed0(runs, *args):
+            fits = real_train_runs(runs, *args)
+            calls.append(runs)
+            if len(calls) == 1:  # seed 0; its runs are baseline's and eda's
+                fits[1] = TrainingError("forced failure")
+            return fits
 
-        real_train = harness.train
-        monkeypatch.setattr(harness, "train", train_failing_second_call)
+        real_train_runs = harness.train_runs
+        monkeypatch.setattr(harness, "train_runs", train_runs_failing_eda_seed0)
         out = tmp_path / "out"
         cfg = ExperimentConfig(
             dataset_path=str(tiny_dataset_file(tmp_path)),
@@ -162,7 +205,7 @@ class TestRunExperiment:
         assert [c.failed_seeds for c in report.cells] == [(), (0,)]
         failure = (out / "failure_eda_seed0.txt").read_text()
         assert failure.startswith("Traceback (most recent call last):")
-        assert "in train_failing_second_call" in failure
+        assert "in run_experiment" in failure
         assert failure.endswith("TrainingError: forced failure\n")
         # the traceback stays out of the report
         expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -180,14 +223,16 @@ class TestRunExperiment:
     def test_failed_cells_report_golden(self, tmp_path, monkeypatch):
         calls = []
 
-        def train_failing(*args):
-            calls.append(args)
-            if len(calls) in (2, 3, 6):  # seed 0: eda, softeda_fixed; seed 1: softeda_fixed
-                raise TrainingError("forced failure")
-            return real_train(*args)
+        def train_runs_failing(runs, *args):
+            fits = real_train_runs(runs, *args)
+            calls.append(runs)
+            # the runs are baseline's, eda's and softeda_fixed's
+            for i in {1: (1, 2), 2: (2,)}[len(calls)]:  # seed 0, then seed 1
+                fits[i] = TrainingError("forced failure")
+            return fits
 
-        real_train = harness.train
-        monkeypatch.setattr(harness, "train", train_failing)
+        real_train_runs = harness.train_runs
+        monkeypatch.setattr(harness, "train_runs", train_runs_failing)
         out = tmp_path / "out"
         cfg = ExperimentConfig(
             dataset_path=str(tiny_dataset_file(tmp_path)),
@@ -204,12 +249,66 @@ class TestRunExperiment:
         )
         assert digests == self.FAILED_REPORT_GOLDEN
 
+    def test_diverging_method_fails_only_its_cell(self, tmp_path, monkeypatch):
+        # eda's seed-0 set gets a NaN soft label, so its final training goes
+        # non-finite inside the seed's one joint call, next to the others'
+        def run_method_nan_eda_seed0(method, *args):
+            examples, rng = real_run_method(method, *args)
+            if (method, args[5]) == ("eda", 0):
+                examples[0] = replace(examples[0], soft_label=np.full(2, np.nan))
+            return examples, rng
+
+        def run(out, patch):
+            with monkeypatch.context() as m:
+                if patch:
+                    m.setattr(harness, "run_method", run_method_nan_eda_seed0)
+                return run_experiment(replace(cfg, output_dir=str(out)))
+
+        real_run_method = harness.run_method
+        cfg = ExperimentConfig(
+            dataset_path=str(tiny_dataset_file(tmp_path)),
+            methods=("baseline", "eda", "aeda", "softeda_fixed"),
+            seeds=(0, 1),
+            n_train=20,
+            train=TrainConfig(max_epochs=2, patience=2),
+        )
+        clean = {c.method: c for c in run(tmp_path / "clean", False).cells}
+        diverged = {c.method: c for c in run(tmp_path / "diverged", True).cells}
+        assert diverged["eda"].failed_seeds == (0,)
+        assert diverged["eda"].per_seed == clean["eda"].per_seed[1:]
+        for method in ("baseline", "aeda", "softeda_fixed"):
+            assert diverged[method] == clean[method]
+        out = tmp_path / "diverged"
+        assert sorted(f.name for f in out.glob("failure_*")) == ["failure_eda_seed0.txt"]
+        failure = (out / "failure_eda_seed0.txt").read_text()
+        assert failure.endswith("TrainingError: non-finite training loss at epoch 1\n")
+
+    def test_every_cell_failing_before_training(self, tmp_path, monkeypatch):
+        # no set survives to train, so the seed makes no training call
+        def run_method_failing(method, *args):
+            raise TrainingError(f"{method} search diverged")
+
+        monkeypatch.setattr(harness, "run_method", run_method_failing)
+        monkeypatch.setattr(harness, "train_runs", None)
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(
+            dataset_path=str(tiny_dataset_file(tmp_path)),
+            methods=("ours", "ours_no_ls"),
+            seeds=(0, 1),
+            n_train=20,
+            output_dir=str(out),
+        )
+        report = run_experiment(cfg)
+        assert [(c.per_seed, c.failed_seeds) for c in report.cells] == [((), (0, 1))] * 2
+        assert len(list(out.glob("failure_*"))) == 4
+        assert (out / "failure_ours_seed1.txt").read_text().endswith("TrainingError: ours search diverged\n")
+
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # only package errors become failed cells; anything else is a bug
-        def train_type_error(*args):
+        def train_runs_type_error(*args):
             raise TypeError("forced bug")
 
-        monkeypatch.setattr(harness, "train", train_type_error)
+        monkeypatch.setattr(harness, "train_runs", train_runs_type_error)
         out = tmp_path / "out"
         cfg = ExperimentConfig(
             dataset_path=str(tiny_dataset_file(tmp_path)),

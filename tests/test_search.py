@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
-from softaug.classifier import TrainConfig, train
-from softaug.errors import DomainError
+from softaug import search
+from softaug.classifier import EpochStats, TrainConfig, train
+from softaug.errors import DomainError, TrainingError
 from softaug.policy import PolicySpace, apply_policy, sample_policy
 from softaug.search import _SEED_RANGE, SearchConfig, TrialRecord, objective, optimize, suggest
 from softaug.textops import load_bundled_lexicon
@@ -129,6 +130,18 @@ class TestObjective:
             expected.append(max(h.val_accuracy for h in history))
         run_scores, _ = objective(policy, TRAIN, VAL, 2, LEX, cfg, train_cfg, random.Random(7))
         assert run_scores == tuple(expected)
+
+    def test_first_failed_runs_error_raised(self, monkeypatch):
+        # run 0 trains, runs 1 and 2 fail: the trial raises run 1's error, as
+        # separate trainings would
+        fits = [(None, None, None, [EpochStats(1, 0.5, 1.0)])]
+        fits += [TrainingError(f"non-finite training loss at epoch {e}") for e in (3, 2)]
+        monkeypatch.setattr(search, "train_runs", lambda *args: fits)
+        policy = sample_policy(SPACE, random.Random(0))
+        cfg = replace(FAST, runs_per_trial=3)
+        with pytest.raises(TrainingError) as e:
+            objective(policy, TRAIN, VAL, 2, LEX, cfg, FAST_TRAIN, random.Random(1))
+        assert e.value is fits[1]
 
     def test_invalid_policy_rejected(self):
         # the policy checks itself when built, so objective never sees it
