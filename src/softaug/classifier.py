@@ -33,12 +33,17 @@ matrix of the batch's distinct tokens; a distinct bigram a_b continues a's
 64-bit state over "_" and b, so no bigram string is built. featurize(text)
 is the indexer's row for one text, so it is by construction the counts the
 model reads.
+A checkpoint (version 2) holds only the columns in which the model has a
+set bit, uncompressed: the model stays dense in memory, and load_model
+validates every field before it scatters those columns back.
 """
 from __future__ import annotations
 
+import os
 import random
 import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -122,6 +127,7 @@ def _key_codes(texts: list[str]) -> np.ndarray:
     ids = {t: i for i, t in enumerate(dict.fromkeys(flat))}
     codes = np.fromiter(map(ids.__getitem__, flat), np.intp, len(flat))
     n_tok = np.fromiter(map(len, tokens), np.intp, len(texts))
+    del tokens, flat  # one string per token; codes and n_tok say the rest
     text_of = np.repeat(np.arange(len(texts)), n_tok)
 
     # distinct tokens' UTF-8 bytes, zero-padded; the lengths come from the
@@ -143,7 +149,7 @@ def _key_codes(texts: list[str]) -> np.ndarray:
     # after the earlier texts' bigrams, a bigram after the unigrams of its
     # own and the earlier texts
     n_bi = np.maximum(n_tok - 1, 0)
-    uni_at = np.arange(len(flat)) + (np.cumsum(n_bi) - n_bi)[text_of]
+    uni_at = np.arange(len(codes)) + (np.cumsum(n_bi) - n_bi)[text_of]
     bi_at = np.arange(len(starts)) + np.cumsum(n_tok)[text_of[starts]]
     mask = np.uint64(N_BUCKETS - 1)
     keys = np.repeat(np.arange(len(texts)) * N_BUCKETS, n_tok + n_bi)
@@ -379,56 +385,89 @@ def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
     return np.count_nonzero(preds == y) / len(data)
 
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def save_model(model: LinearModel, path):
-    """Checkpoint: compressed npz with version, n_class, weights, bias, and
-    labels (a string array) when the model has them."""
-    arrays = {"weights": model.weights, "bias": model.bias}
+    """Checkpoint version 2: an uncompressed npz with version, n_class,
+    buckets (the sorted ids of the columns in which any class's weight has a
+    set bit, so a -0.0 weight survives), weights (one row per class, one
+    column per bucket), bias, and labels (a string array) when the model has
+    them. A model holds a few percent of its N_BUCKETS columns, so these
+    are about the size of the zlib-compressed dense matrix, without zlib's
+    cost. The file is written beside `path` and renamed over it, so a save
+    that fails leaves an existing checkpoint as it was."""
+    weights = np.asarray(model.weights, dtype=np.float64)
+    # a column is held when any class's weight has a set bit, -0.0 included
+    buckets = np.flatnonzero(weights.view(np.uint64).any(axis=0))
+    arrays = {"buckets": buckets, "weights": weights[:, buckets], "bias": model.bias}
     if model.labels is not None:
         arrays["labels"] = np.array(model.labels, dtype=str)
-    # write through a handle so numpy keeps the caller's extension as-is
-    with open(path, "wb") as f:
-        np.savez_compressed(
-            f,
-            version=np.int64(_CHECKPOINT_VERSION),
-            n_class=np.int64(model.n_class),
-            **arrays,
-        )
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        # write through a handle so numpy keeps the caller's extension as-is
+        with open(tmp, "wb") as f:
+            np.savez(f, version=np.int64(_CHECKPOINT_VERSION), n_class=np.int64(model.n_class), **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_model(path) -> LinearModel:
-    """Read a save_model checkpoint. A file that is not an npz archive, a
-    missing or unreadable key, n_class below 2, a weights or bias shape that
-    does not match n_class and N_BUCKETS, a non-finite value, or labels that
-    are not n_class distinct strings raises DataError. A checkpoint without
-    labels loads with labels None."""
+    """Read a save_model checkpoint into a dense model. The version is read
+    first, then every other field and shape, and only then are the held
+    columns scattered into N_BUCKETS. A file that is not an npz archive, a
+    version other than 2 (version-1 files are not read: retrain), a missing
+    key, a version or n_class that is not an integer scalar, n_class below
+    2, buckets that are not strictly increasing integers in [0, N_BUCKETS),
+    weights or bias that are not float64 or do not fit n_class and buckets,
+    a non-finite value, or labels that are not n_class distinct strings
+    raises DataError naming the field. A checkpoint without labels loads
+    with labels None."""
     try:
         # numpy leaves its own handle open when the archive is unreadable
         with open(path, "rb") as f, np.load(f) as data:
-            missing = [k for k in ("version", "n_class", "weights", "bias") if k not in data.files]
-            if missing:
-                raise DataError(f"checkpoint {path}: missing {', '.join(missing)}")
-            version, n_class = int(data["version"]), int(data["n_class"])
-            weights, bias = data["weights"], data["bias"]
-            labels = data["labels"] if "labels" in data.files else None
-        finite = np.isfinite(weights).all() and np.isfinite(bias).all()
+            fields = {key: data[key] for key in data.files}
     except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as e:
         raise DataError(f"checkpoint {path}: not a readable checkpoint ({e})") from e
+
+    def read(key: str, chars: str, expected: str, ndim: int | None = None) -> np.ndarray:
+        if key not in fields:
+            raise DataError(f"checkpoint {path}: missing {key}")
+        value = fields[key]
+        if value.dtype.char not in chars or ndim not in (None, value.ndim):
+            raise DataError(
+                f"checkpoint {path}: not a readable checkpoint ({key} is a {value.dtype} "
+                f"array of shape {value.shape}, expected {expected})"
+            )
+        return value
+
+    integers = np.typecodes["AllInteger"]  # bool is not among them
+    version = int(read("version", integers, "an integer scalar", 0))
     if version != _CHECKPOINT_VERSION:
-        raise DomainError(f"unsupported checkpoint version {version}")
+        raise DataError(f"checkpoint {path}: unsupported checkpoint version {version}; retrain the model")
+    n_class = int(read("n_class", integers, "an integer scalar", 0))
+    buckets = read("buckets", integers, "a 1-D integer array", 1)
+    weights, bias = read("weights", "d", "float64"), read("bias", "d", "float64")
+    labels = fields.get("labels")
     if n_class < 2:
         raise DataError(f"checkpoint {path}: n_class={n_class}, expected at least 2")
-    if weights.shape != (n_class, N_BUCKETS) or bias.shape != (n_class,):
+    # neighbours compared, not differenced: np.diff wraps on unsigned ids
+    increasing = (buckets[1:] > buckets[:-1]).all()
+    if buckets.size and not (increasing and buckets[0] >= 0 and buckets[-1] < N_BUCKETS):
+        raise DataError(f"checkpoint {path}: buckets are not strictly increasing ids in [0, {N_BUCKETS})")
+    if weights.shape != (n_class, len(buckets)) or bias.shape != (n_class,):
         raise DataError(
             f"checkpoint {path}: weights {weights.shape} and bias {bias.shape} do not fit "
-            f"n_class={n_class} and {N_BUCKETS} buckets"
+            f"n_class={n_class} and {len(buckets)} buckets"
         )
-    if not finite:
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise DataError(f"checkpoint {path}: non-finite weights or bias")
     if labels is not None:
         if labels.dtype.kind != "U" or labels.shape != (n_class,) or len(set(labels.tolist())) != n_class:
             raise DataError(f"checkpoint {path}: labels {labels!r} are not {n_class} distinct names")
         labels = labels.tolist()
-    return LinearModel(weights, bias, n_class, labels)
+    dense = np.zeros((n_class, N_BUCKETS))
+    dense[:, buckets] = weights
+    return LinearModel(dense, bias, n_class, labels)

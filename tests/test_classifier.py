@@ -1,7 +1,10 @@
 import functools
 import hashlib
 import random
+import tempfile
+import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -720,6 +723,37 @@ class TestEvaluate:
         assert sorted(hashed) == ["a", "a_b", "b"]
 
 
+def checkpoint_arrays(**changes):
+    """A valid version-2 checkpoint's arrays: two classes holding three
+    buckets, with `changes` applied."""
+    arrays = {
+        "version": np.int64(2),
+        "n_class": np.int64(2),
+        "buckets": np.array([3, 7, 11]),
+        "weights": np.zeros((2, 3)),
+        "bias": np.zeros(2),
+    }
+    arrays.update(changes)
+    return arrays
+
+
+def assert_round_trip(model):
+    """save_model then load_model gives back the model's weights and bias
+    byte for byte, and the file's buckets are the columns holding a set bit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.npz"
+        save_model(model, path)
+        loaded = load_model(path)
+        with np.load(path) as data:
+            buckets = data["buckets"]
+    w = model.weights
+    set_bit = np.flatnonzero(((w != 0) | np.signbit(w)).any(axis=0))
+    np.testing.assert_array_equal(buckets, set_bit)
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    assert loaded.bias.tobytes() == model.bias.tobytes()
+    assert (loaded.n_class, loaded.labels) == (model.n_class, model.labels)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model, _ = train(
@@ -743,14 +777,14 @@ class TestCheckpoint:
         [
             (lambda a: a.pop("bias"), "missing bias"),
             (lambda a: a.update(weights=np.zeros((2, 10))), "do not fit"),
-            (lambda a: a.update(weights=np.zeros((3, N_BUCKETS))), "do not fit"),
+            (lambda a: a.update(weights=np.zeros((3, 3))), "do not fit"),
             (lambda a: a.update(bias=np.zeros(3)), "do not fit"),
-            (lambda a: a["weights"].__setitem__((1, 5), np.nan), "non-finite"),
+            (lambda a: a["weights"].__setitem__((1, 2), np.nan), "non-finite"),
             (lambda a: a["bias"].__setitem__(0, np.inf), "non-finite"),
-            (lambda a: a.update(n_class=np.int64(1), weights=np.zeros((1, N_BUCKETS)),
+            (lambda a: a.update(n_class=np.int64(1), weights=np.zeros((1, 3)),
                                 bias=np.zeros(1)), "at least 2"),
             (lambda a: a.update(n_class=np.zeros(2)), "not a readable"),
-            (lambda a: a.update(weights=np.full((2, N_BUCKETS), "w")), "not a readable"),
+            (lambda a: a.update(weights=np.full((2, 3), "w")), "not a readable"),
             (lambda a: a.update(labels=np.array(["neg"])), "not 2 distinct names"),
             (lambda a: a.update(labels=np.array(["neg", "pos", "mixed"])), "not 2 distinct names"),
             (lambda a: a.update(labels=np.array(["neg", "neg"])), "not 2 distinct names"),
@@ -758,20 +792,106 @@ class TestCheckpoint:
             (lambda a: a.update(labels=np.array([["neg", "pos"]])), "not 2 distinct names"),
             (lambda a: a.update(labels=np.array("neg")), "not 2 distinct names"),
             (lambda a: a.update(labels=np.array(["neg", None], dtype=object)), "not a readable"),
+            (lambda a: a.update(buckets=np.array([7, 3, 11])), "buckets"),
+            (lambda a: a.update(buckets=np.array([3, 3, 11])), "buckets"),
+            (lambda a: a.update(buckets=np.array([-1, 3, 11])), "buckets"),
+            (lambda a: a.update(buckets=np.array([3, 7, N_BUCKETS])), "buckets"),
+            (lambda a: a.update(buckets=np.array([7, 3, 11], dtype=np.uint64)), "buckets"),
+            (lambda a: a.update(buckets=np.array([3.0, 7.0, 11.0])), "buckets"),
+            (lambda a: a.update(buckets=np.array([[3, 7, 11]])), "buckets"),
+            (lambda a: a.update(buckets=np.array([True, False, True])), "buckets"),
+            (lambda a: a.update(weights=np.zeros((2, 2))), "do not fit"),
+            (lambda a: a.update(version=np.float64(1.7)), "version is a"),
+            (lambda a: a.update(version=np.bool_(True)), "version is a"),
+            (lambda a: a.update(version=np.array([2])), "version is a"),
+            (lambda a: a.update(n_class=np.float64(2.9)), "n_class is a"),
+            (lambda a: a.update(n_class=np.bool_(True)), "n_class is a"),
+            (lambda a: a.update(weights=np.zeros((2, 3), dtype=np.float16)), "weights is a"),
+            (lambda a: a.update(weights=np.zeros((2, 3), dtype=bool)), "weights is a"),
+            (lambda a: a.update(weights=np.zeros((2, 3), dtype=np.float32)), "weights is a"),
+            (lambda a: a.update(bias=np.zeros(2, dtype=np.complex128)), "bias is a"),
+            (lambda a: a.update(bias=np.zeros(2, dtype=np.int64)), "bias is a"),
         ],
     )
     def test_malformed_checkpoint_rejected(self, tmp_path, change, message):
-        arrays = {
-            "version": np.int64(1),
-            "n_class": np.int64(2),
-            "weights": np.zeros((2, N_BUCKETS)),
-            "bias": np.zeros(2),
-        }
+        arrays = checkpoint_arrays()
         change(arrays)
         path = tmp_path / "model.npz"
-        np.savez_compressed(path, **arrays)
+        np.savez(path, **arrays)
         with pytest.raises(DataError, match=message):
             load_model(path)
+
+    def test_version_is_read_first(self, tmp_path):
+        path = tmp_path / "model.npz"
+        np.savez(path, n_class=np.int64(2))
+        with pytest.raises(DataError, match="missing version"):
+            load_model(path)
+        # a version-1 file holds no buckets; the version, not the key, is named
+        np.savez_compressed(
+            path, version=np.int64(1), n_class=np.int64(2),
+            weights=np.zeros((2, N_BUCKETS)), bias=np.zeros(2),
+        )
+        with pytest.raises(DataError, match="unsupported checkpoint version 1; retrain"):
+            load_model(path)
+        np.savez(path, **checkpoint_arrays(version=np.int64(3)))
+        with pytest.raises(DataError, match="unsupported checkpoint version 3"):
+            load_model(path)
+
+    def test_file_layout(self, tmp_path):
+        model, _ = train(
+            hard_examples(TOY_TRAIN), TOY_VAL, 2, TrainConfig(), random.Random(0)
+        )
+        assert_round_trip(model)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["bias", "buckets", "n_class", "version", "weights"]
+            assert (int(data["version"]), data["buckets"].dtype) == (2, np.int64)
+            assert data["weights"].shape == (2, len(data["buckets"]))
+        # stored, not deflated
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_bit_exact(self, data):
+        n_class = data.draw(st.integers(2, 4))
+        held = data.draw(st.lists(st.integers(0, N_BUCKETS - 1), max_size=40, unique=True))
+        values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+        model = LinearModel.zeros(n_class)
+        for bucket in held:
+            model.weights[:, bucket] = data.draw(st.lists(values, min_size=n_class, max_size=n_class))
+        model.bias = np.array(data.draw(st.lists(values, min_size=n_class, max_size=n_class)))
+        assert_round_trip(model)
+
+    @pytest.mark.parametrize("fill", [None, -0.0, 1.5], ids=["no-bucket", "every-bucket-negative-zero",
+                                                             "every-bucket"])
+    def test_round_trip_at_the_extremes(self, fill):
+        model = LinearModel.zeros(3)
+        if fill is not None:
+            model.weights[:] = fill
+            model.weights[1, ::7] = -2.25
+        model.labels = ["a", "b", "c"]
+        assert_round_trip(model)
+
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        model, _ = train(
+            hard_examples(TOY_TRAIN), TOY_VAL, 2, TrainConfig(), random.Random(0)
+        )
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        before = path.read_bytes()
+
+        def interrupted(f, **arrays):
+            f.write(b"PK\x03\x04partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", interrupted)
+        with pytest.raises(OSError, match="No space"):
+            save_model(LinearModel.zeros(2), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
+        np.testing.assert_array_equal(load_model(path).weights, model.weights)
 
     @pytest.mark.parametrize(
         "content",

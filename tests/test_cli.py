@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from softaug import cli
-from softaug.classifier import load_model, save_model
+from softaug.classifier import N_BUCKETS, load_model, save_model
 from softaug.cli import main
 from softaug.errors import TrainingError
 from softaug.policy import AugmentationPolicy
@@ -232,12 +232,32 @@ class TestTrainEvalCommands:
 
     def test_eval_malformed_checkpoint_is_data_error(self, dataset, tmp_path, capsys):
         model = tmp_path / "model.npz"
-        np.savez_compressed(
-            model, version=np.int64(1), n_class=np.int64(2),
+        np.savez(
+            model, version=np.int64(2), n_class=np.int64(2), buckets=np.array([3, 7, 11]),
             weights=np.zeros((2, 10)), bias=np.zeros(2),
         )
         assert main(["eval", "--model", str(model), "--input", str(dataset)]) == 2
         assert "do not fit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            # the dense, compressed version-1 layout is not read
+            (dict(version=np.int64(1), weights=np.zeros((2, N_BUCKETS))),
+             "unsupported checkpoint version 1"),
+            # a complex bias once loaded and failed in scoring, exit 1
+            (dict(version=np.int64(2), buckets=np.array([3]), weights=np.zeros((2, 1)),
+                  bias=np.zeros(2, dtype=np.complex128)), "bias is a complex128"),
+        ],
+        ids=["version-1", "complex-bias"],
+    )
+    def test_eval_unreadable_checkpoint_exits_2(self, dataset, tmp_path, capsys, arrays, message):
+        model = tmp_path / "model.npz"
+        np.savez_compressed(model, **{"n_class": np.int64(2), "bias": np.zeros(2), **arrays})
+        assert main(["eval", "--model", str(model), "--input", str(dataset)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_eval_label_outside_model_classes_is_domain_error(
         self, dataset, policy_file, tmp_path, capsys
