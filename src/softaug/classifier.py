@@ -22,20 +22,20 @@ the runs still going. Each run keeps its own shuffle rng, early-stop state,
 best snapshot and bias step, and every cell gets its adds in the order a
 training of its own would give it, so a run's results equal its own
 training's bit for bit; padding adds exact zeros to its run's bucket-0
-column.
-Training, validation, evaluate, fit_accuracy and predict share one indexer
-(_index: rows keyed by bucket, so a row depends only on its text; training
-renumbers buckets to dense columns, and fit_accuracy maps rows onto a fit's)
-and one scoring routine (_logits: the bias plus the first term, then each
-further term in first-occurrence order). The
-indexer hashes in numpy, one step per byte position over a padded byte
-matrix of the batch's distinct tokens; a distinct bigram a_b continues a's
-64-bit state over "_" and b, so no bigram string is built. featurize(text)
-is the indexer's row for one text, so it is by construction the counts the
-model reads.
-A checkpoint (version 2) holds only the columns in which the model has a
-set bit, uncompressed: the model stays dense in memory, and load_model
-validates every field before it scatters those columns back.
+column. A run's model holds only the columns in which its best snapshot
+has a set bit.
+Training, validation, evaluate and predict share one indexer (_index: rows
+keyed by bucket, so a row depends only on its text; training renumbers
+buckets to dense columns, and evaluate and predict map them onto the
+model's, where a bucket the model does not hold reads +0.0) and one
+scoring routine (_logits: the bias plus the first term, then each further
+term in first-occurrence order). The indexer hashes in numpy, one step per
+byte position over a padded byte matrix of the batch's distinct tokens; a
+distinct bigram a_b continues a's 64-bit state over "_" and b, so no
+bigram string is built. featurize(text) is the indexer's row for one
+text, so it is by construction the counts the model reads.
+A checkpoint (version 2) stores a model's arrays as they are, uncompressed,
+and load_model validates every field before it builds the model from them.
 """
 from __future__ import annotations
 
@@ -59,7 +59,6 @@ __all__ = [
     "featurize",
     "train",
     "train_runs",
-    "fit_accuracy",
     "predict",
     "evaluate",
     "save_model",
@@ -74,14 +73,18 @@ _FNV_PRIME = 0x100000001B3
 
 @dataclass
 class LinearModel:
-    weights: np.ndarray  # (n_class, N_BUCKETS)
+    """A model in the form its checkpoint stores. A bucket it does not hold
+    scores +0.0; a trained model holds exactly the buckets in which some
+    class's weight has a set bit, -0.0 included."""
+
+    buckets: np.ndarray  # (n_held,) sorted bucket ids, int64 from training
+    weights: np.ndarray  # (n_class, n_held)
     bias: np.ndarray  # (n_class,)
-    n_class: int
     labels: list[str] | None = None  # class names in index order, when known
 
-    @staticmethod
-    def zeros(n_class: int) -> "LinearModel":
-        return LinearModel(np.zeros((n_class, N_BUCKETS)), np.zeros(n_class), n_class)
+    @property
+    def n_class(self) -> int:
+        return len(self.bias)
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def train_runs(
     n_class: int,
     cfg: TrainConfig,
     rngs: list[random.Random],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, list[EpochStats]] | TrainingError]:
+) -> list[tuple[LinearModel, list[EpochStats]] | TrainingError]:
     """Train one model per run in lockstep, run i shuffling with rngs[i]:
     mini-batch SGD with per-epoch shuffling, where each batch is scored
     with the pre-batch weights, then one scatter-add steps every feature
@@ -232,10 +235,9 @@ def train_runs(
     rows step by step, and within a step run by run, and gathers them once;
     each step then scores and scatters a contiguous slice, the batches of
     the runs still going, so every run's history, snapshot and rng end state
-    are those of its own training alone. Returns per run (buckets, weights,
-    bias, history): the call's sorted buckets, the same for every run, and
-    the best snapshot's weights (one row per class and one column per
-    bucket) and bias; or, for a run whose loss went non-finite, the
+    are those of its own training alone. Returns per run (model, history):
+    the best snapshot as a model holding the buckets in which some class's
+    weight has a set bit; or, for a run whose loss went non-finite, the
     TrainingError its own training would raise, while the others train on."""
     if not runs or not all(runs):
         raise DomainError("empty training set")
@@ -318,7 +320,9 @@ def train_runs(
             histories[r].append(EpochStats(epoch, mean_loss, val_acc))
             if val_acc > best_acc[r]:
                 best_acc[r], stale[r] = val_acc, 0
-                best[r] = (block.copy(), biases[r].copy())
+                # held: the columns where some class's weight has a set bit, -0.0 too
+                held = block.view(np.uint64).any(axis=0)
+                best[r] = LinearModel(buckets[held], block[:, held], biases[r].copy())
             else:
                 stale[r] += 1
         active = [r for r in active if r not in failed and stale[r] < cfg.patience]
@@ -326,7 +330,7 @@ def train_runs(
             break
     return [
         TrainingError(f"non-finite training loss at epoch {failed[r]}") if r in failed
-        else (buckets, *best[r], histories[r])
+        else (best[r], histories[r])
         for r in range(k)
     ]
 
@@ -338,39 +342,37 @@ def train(
     cfg: TrainConfig,
     rng: random.Random,
 ) -> tuple[LinearModel, list[EpochStats]]:
-    """The one-run train_runs: returns the best snapshot as a model that
-    holds the run's columns in its 2^18 buckets and is zero elsewhere, and
-    the epoch history. Batches and validation are scored with _logits, so
-    their logits match the returned model's bit for bit."""
+    """The one-run train_runs: the best snapshot's model and the epoch
+    history; a non-finite loss raises the run's TrainingError. Batches and
+    validation are scored with _logits, as the model is, bit for bit."""
     [fit] = train_runs([train_examples], val, n_class, cfg, [rng])
     if isinstance(fit, TrainingError):
         raise fit
-    buckets, weights, bias, history = fit
-    model = LinearModel.zeros(n_class)
-    model.weights[:, buckets] = weights
-    model.bias = bias
-    return model, history
+    return fit
 
 
-def fit_accuracy(fit, ids: np.ndarray, counts: np.ndarray, y: np.ndarray) -> float:
-    """evaluate of the model train builds from a train_runs fit, on _index rows
-    (ids, counts) labelled y, scored on the fit's own columns: a bucket it does
-    not hold scores +0.0, as in that model. A failed run's fit raises its error."""
-    if isinstance(fit, TrainingError):
-        raise fit
-    buckets, weights, bias, _ = fit
-    at = np.searchsorted(buckets, ids)
-    # a bucket the fit does not hold reads the appended zero column
-    columns = np.where(np.append(buckets, -1)[at] == ids, at, len(buckets))
-    weights = np.hstack([weights, np.zeros((len(weights), 1))])
-    preds = _logits(weights, bias, columns, counts).argmax(axis=1)
+def _model_logits(model: LinearModel, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Logits of _index rows under `model`. A per-call position table maps
+    each held bucket to its column and every other bucket to an appended
+    +0.0 column, so a bucket the model does not hold adds +0.0."""
+    held = len(model.buckets)
+    pos = np.full(N_BUCKETS, held, np.int32)
+    pos[model.buckets] = np.arange(held)
+    weights = np.hstack([model.weights, np.zeros((model.n_class, 1))])
+    return _logits(weights, model.bias, pos[ids], counts)
+
+
+def _accuracy(model: LinearModel, ids: np.ndarray, counts: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of _index rows (ids, counts) whose argmax logit is their label
+    in y; argmax ties break toward the lowest class index."""
+    preds = _model_logits(model, ids, counts).argmax(axis=1)
     return np.count_nonzero(preds == y) / len(y)
 
 
 def predict(model: LinearModel, text: str) -> np.ndarray:
     """Class probabilities: softmax(weights . featurize(text) + bias)."""
     ids, counts = _index([text])
-    return softmax(_logits(model.weights, model.bias, ids, counts)[0])
+    return softmax(_model_logits(model, ids, counts)[0])
 
 
 def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
@@ -380,27 +382,21 @@ def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
     if not data:
         raise DomainError("empty evaluation set")
     y = _labels(data, model.n_class)
-    ids, counts = _index([text for text, _ in data])
-    preds = _logits(model.weights, model.bias, ids, counts).argmax(axis=1)
-    return np.count_nonzero(preds == y) / len(data)
+    return _accuracy(model, *_index([text for text, _ in data]), y)
 
 
 _CHECKPOINT_VERSION = 2
 
 
 def save_model(model: LinearModel, path):
-    """Checkpoint version 2: an uncompressed npz with version, n_class,
-    buckets (the sorted ids of the columns in which any class's weight has a
-    set bit, so a -0.0 weight survives), weights (one row per class, one
+    """Checkpoint version 2: an uncompressed npz with version, n_class and
+    the model's arrays as they are: buckets, weights (one row per class, one
     column per bucket), bias, and labels (a string array) when the model has
-    them. A model holds a few percent of its N_BUCKETS columns, so these
-    are about the size of the zlib-compressed dense matrix, without zlib's
-    cost. The file is written beside `path` and renamed over it, so a save
-    that fails leaves an existing checkpoint as it was."""
-    weights = np.asarray(model.weights, dtype=np.float64)
-    # a column is held when any class's weight has a set bit, -0.0 included
-    buckets = np.flatnonzero(weights.view(np.uint64).any(axis=0))
-    arrays = {"buckets": buckets, "weights": weights[:, buckets], "bias": model.bias}
+    them. A trained model holds a few percent of the N_BUCKETS buckets, so
+    these are about the size of the zlib-compressed dense matrix, without
+    zlib's cost. The file is written beside `path` and renamed over it, so a
+    save that fails leaves an existing checkpoint as it was."""
+    arrays = {"buckets": model.buckets, "weights": model.weights, "bias": model.bias}
     if model.labels is not None:
         arrays["labels"] = np.array(model.labels, dtype=str)
     path = Path(path)
@@ -415,16 +411,16 @@ def save_model(model: LinearModel, path):
 
 
 def load_model(path) -> LinearModel:
-    """Read a save_model checkpoint into a dense model. The version is read
-    first, then every other field and shape, and only then are the held
-    columns scattered into N_BUCKETS. A file that is not an npz archive, a
-    version other than 2 (version-1 files are not read: retrain), a missing
-    key, a version or n_class that is not an integer scalar, n_class below
-    2, buckets that are not strictly increasing integers in [0, N_BUCKETS),
-    weights or bias that are not float64 or do not fit n_class and buckets,
-    a non-finite value, or labels that are not n_class distinct strings
-    raises DataError naming the field. A checkpoint without labels loads
-    with labels None."""
+    """Read a save_model checkpoint into the model it holds, so
+    load_model(save_model(m)) gives back m's arrays. The version is read
+    first, then every other field and shape. A file that is not an npz
+    archive, a version other than 2 (version-1 files are not read:
+    retrain), a missing key, a version or n_class that is not an integer
+    scalar, n_class below 2, buckets that are not strictly increasing
+    integers in [0, N_BUCKETS), weights or bias that are not float64 or do
+    not fit n_class and buckets, a non-finite value, or labels that are not
+    n_class distinct strings raises DataError naming the field. A
+    checkpoint without labels loads with labels None."""
     try:
         # numpy leaves its own handle open when the archive is unreadable
         with open(path, "rb") as f, np.load(f) as data:
@@ -468,6 +464,4 @@ def load_model(path) -> LinearModel:
         if labels.dtype.kind != "U" or labels.shape != (n_class,) or len(set(labels.tolist())) != n_class:
             raise DataError(f"checkpoint {path}: labels {labels!r} are not {n_class} distinct names")
         labels = labels.tolist()
-    dense = np.zeros((n_class, N_BUCKETS))
-    dense[:, buckets] = weights
-    return LinearModel(dense, bias, n_class, labels)
+    return LinearModel(buckets, weights, bias, labels)

@@ -3,7 +3,7 @@
 For each seed the harness redraws a stratified low-resource subsample,
 carves a validation holdout out of it, builds every requested method's
 training set, trains them in one lockstep train_runs call, and scores each
-fit on the untouched test split, indexed once per experiment. Cells are
+model on the untouched test split, indexed once per experiment. Cells are
 aggregated as mean and sample (n-1) standard deviation over seeds, in
 percent. A run makes one (dataset, n_train) column, rendered as one
 `mean±std` cell per method: the best mean gets a trailing `*`, cells below
@@ -20,9 +20,9 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .classifier import TrainConfig, _index, _labels, fit_accuracy, train_runs
+from .classifier import TrainConfig, _accuracy, _index, _labels, train_runs
 from .datasets import Example, LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
-from .errors import DataError, DomainError, SoftAugError, is_int, is_real, require_counts
+from .errors import DataError, DomainError, SoftAugError, TrainingError, is_int, is_real, require_counts
 from .policy import AugmentationPolicy, AugmentedExample, PolicySpace, apply_policy
 from .search import _SEED_RANGE, SearchConfig, optimize
 from .textops import SynonymLexicon, load_bundled_lexicon, load_lexicon
@@ -239,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Full multi-seed sweep over cfg.methods. Per seed: subsample the
     train split to n_train, carve the validation holdout, build each
     method's training set, train the sets in one train_runs call, and score
-    each fit on the test split. A cell whose set building or training raises
+    each model on the test split. A cell whose set building or training raises
     a SoftAugError is recorded and excluded rather than aborting the sweep
     (any other error propagates); with an output directory, its traceback
     goes to failure_<method>_seed<seed>.txt. A dataset with fewer than two
@@ -249,7 +249,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         raise DataError(f"dataset {data.name!r} has {data.n_class} class; a comparison needs at least 2")
     lex = load_experiment_lexicon(cfg.lexicon_path)
     test_split = data.split("test")
-    # the same split for every seed: indexed once, then scored by each fit
+    # the same split for every seed: indexed once, then scored by each model
     test_rows = (*_index([text for text, _ in test_split]), _labels(test_split, data.n_class))
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     if out_dir:
@@ -275,7 +275,9 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         fits = train_runs(runs, val, data.n_class, cfg.train, rngs) if runs else []
         for method, fit in zip(sets, fits):
             try:
-                scores[method].append(fit_accuracy(fit, *test_rows) * 100.0)
+                if isinstance(fit, TrainingError):
+                    raise fit
+                scores[method].append(_accuracy(fit[0], *test_rows) * 100.0)
             except SoftAugError:
                 fail(method, seed)
 
@@ -296,8 +298,11 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def format_cell(mean: float, std: float) -> str:

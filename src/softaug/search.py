@@ -208,7 +208,7 @@ def objective(
     for fit in fits:  # the first failed run's error, as separate trainings would raise it
         if isinstance(fit, TrainingError):
             raise fit
-    run_scores = tuple(max(h.val_accuracy for h in history) for *_, history in fits)
+    run_scores = tuple(max(h.val_accuracy for h in history) for _, history in fits)
     return run_scores, sum(run_scores) / len(run_scores)
 
 

@@ -18,7 +18,6 @@ from softaug.classifier import (
     TrainConfig,
     evaluate,
     featurize,
-    fit_accuracy,
     load_model,
     predict,
     save_model,
@@ -143,12 +142,12 @@ class TestIndex:
 
 class TestPredict:
     def test_zero_model_uniform(self):
-        model = LinearModel.zeros(4)
+        model = zero_model(4)
         np.testing.assert_allclose(predict(model, "anything at all"), np.full(4, 0.25))
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(0)
-        model = LinearModel(rng.normal(size=(3, N_BUCKETS)), rng.normal(size=3), 3)
+        model = from_dense(rng.normal(size=(3, N_BUCKETS)), rng.normal(size=3))
         probs = predict(model, "the plot was thin")
         assert abs(probs.sum() - 1.0) <= 1e-9 and (probs >= 0).all()
 
@@ -237,22 +236,46 @@ def scalar_featurize(text):
     return feats
 
 
-def loop_logits(model, feats):
-    """Reference logits: the bias plus each feature's term, one at a time
-    in the feature map's order."""
-    z = model.bias.copy()
+def loop_logits(weights, bias, feats):
+    """Reference logits of dense `weights` (one column per bucket): the bias
+    plus each feature's term, one at a time in the feature map's order."""
+    z = bias.copy()
     for idx, count in feats.items():
-        z += model.weights[:, idx] * count
+        z += weights[:, idx] * count
     return z
 
 
-def copy_model(model):
-    return LinearModel(model.weights.copy(), model.bias.copy(), model.n_class)
+def zero_model(n_class):
+    """A model that holds no bucket, so every logit is its zero bias."""
+    return LinearModel(np.zeros(0, np.int64), np.zeros((n_class, 0)), np.zeros(n_class))
+
+
+def from_dense(weights, bias):
+    """The model holding the columns of dense `weights` (one per bucket) in
+    which some class's weight has a set bit."""
+    held = np.flatnonzero(weights.view(np.uint64).any(axis=0))
+    return LinearModel(held, weights[:, held], bias)
+
+
+def dense(model):
+    """The model's weights scattered into classifier.N_BUCKETS columns (read
+    per call, so a monkeypatch applies), +0.0 in every bucket it lacks."""
+    weights = np.zeros((model.n_class, classifier.N_BUCKETS))
+    weights[:, model.buckets] = model.weights
+    return weights
+
+
+def assert_same_model(a, b):
+    """Identical buckets, weights and bias: dtype, shape and bytes."""
+    for name in ("buckets", "weights", "bias"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 def dense_train(train_examples, val, n_class, cfg, rng, batched=False):
-    """Reference for `train`: the per-feature loop over the full
-    (n_class, 2^18) model. With batched=True every example of a batch is
+    """Reference for `train`: the per-feature loop over dense
+    (n_class, 2^18) weights, returning the best (weights, bias) and the
+    history. With batched=True every example of a batch is
     scored with the pre-batch weights, and the steps then subtract example
     by example and feature by feature (np.add.at's order): `train` must
     match it. With batched=False each example is scored after its
@@ -261,8 +284,8 @@ def dense_train(train_examples, val, n_class, cfg, rng, batched=False):
     feats = [scalar_featurize(ex.text) for ex in train_examples]
     targets = [np.asarray(ex.soft_label, dtype=float) for ex in train_examples]
     val_feats = [(scalar_featurize(text), y) for text, y in val]
-    model = LinearModel.zeros(n_class)
-    best, best_acc, stale, history = copy_model(model), -1.0, 0, []
+    weights, bias = np.zeros((n_class, classifier.N_BUCKETS)), np.zeros(n_class)
+    best, best_acc, stale, history = (weights.copy(), bias.copy()), -1.0, 0, []
     order = list(range(len(train_examples)))
     for epoch in range(1, cfg.max_epochs + 1):
         rng.shuffle(order)
@@ -271,20 +294,20 @@ def dense_train(train_examples, val, n_class, cfg, rng, batched=False):
             batch = order[start : start + cfg.batch_size]
             scale = cfg.learning_rate / len(batch)
             bias_grad = np.zeros(n_class)
-            pre = [softmax(loop_logits(model, feats[i])) for i in batch] if batched else []
+            pre = [softmax(loop_logits(weights, bias, feats[i])) for i in batch] if batched else []
             for k, i in enumerate(batch):
-                probs = pre[k] if batched else softmax(loop_logits(model, feats[i]))
+                probs = pre[k] if batched else softmax(loop_logits(weights, bias, feats[i]))
                 loss_sum += soft_cross_entropy(probs, targets[i])
                 g = probs - targets[i]
                 bias_grad += g
                 for idx, count in feats[i].items():
-                    model.weights[:, idx] -= scale * count * g
-            model.bias -= scale * bias_grad
+                    weights[:, idx] -= scale * count * g
+            bias -= scale * bias_grad
         mean_loss = loss_sum / len(order)
-        correct = sum(1 for f, y in val_feats if int(np.argmax(loop_logits(model, f))) == y)
+        correct = sum(1 for f, y in val_feats if int(np.argmax(loop_logits(weights, bias, f))) == y)
         history.append((epoch, mean_loss, correct / len(val_feats)))
         if history[-1][2] > best_acc:
-            best, best_acc, stale = copy_model(model), history[-1][2], 0
+            best, best_acc, stale = (weights.copy(), bias.copy()), history[-1][2], 0
         else:
             stale += 1
             if stale >= cfg.patience:
@@ -298,17 +321,18 @@ def assert_same_as(examples, val, n_class, cfg, seed, batched):
 
 
 def assert_matches_dense(model, history, examples, val, n_class, cfg, seed, batched):
-    ref_model, ref_history = dense_train(
+    (ref_weights, ref_bias), ref_history = dense_train(
         examples, val, n_class, cfg, random.Random(seed), batched
     )
     assert [(h.epoch, h.val_accuracy) for h in history] == [(e, a) for e, _, a in ref_history]
     for h, (_, loss, _) in zip(history, ref_history):
         assert h.train_loss == pytest.approx(loss, rel=1e-9, abs=0.0)
     for text in [ex.text for ex in examples] + [text for text, _ in val]:
-        assert int(np.argmax(predict(model, text))) == int(np.argmax(predict(ref_model, text)))
+        ref_probs = softmax(loop_logits(ref_weights, ref_bias, scalar_featurize(text)))
+        assert int(np.argmax(predict(model, text))) == int(np.argmax(ref_probs))
     # the same sums in the same order: equal to the last bit
-    np.testing.assert_array_equal(model.weights, ref_model.weights)
-    np.testing.assert_array_equal(model.bias, ref_model.bias)
+    np.testing.assert_array_equal(dense(model), ref_weights)
+    np.testing.assert_array_equal(model.bias, ref_bias)
 
 
 def assert_same_training(examples, val, n_class, cfg, seed):
@@ -360,8 +384,9 @@ class TestTrainSemantics:
         seen = np.zeros(N_BUCKETS, dtype=bool)
         for text in [ex.text for ex in examples] + [text for text, _ in val]:
             seen[list(scalar_featurize(text))] = True
-        assert not model.weights[:, ~seen].any()
-        assert model.weights[:, seen].any()
+        weights = dense(model)
+        assert not weights[:, ~seen].any()
+        assert weights[:, seen].any()
 
     def test_matches_dense_trainer_on_golden_fixture(self):
         examples, val = golden_fixture()
@@ -401,19 +426,15 @@ class TestTrainSemantics:
 
 def assert_runs_equal_separate_trainings(runs, val, n_class, cfg, seeds):
     """train_runs on `runs` equals one train call per run, bit for bit: each
-    run's history, best weights and bias, and rng end state; each run also
-    equals the batched dense reference."""
+    run's history, model and rng end state; each run also equals the
+    batched dense reference."""
     rngs = [random.Random(seed) for seed in seeds]
     fits = train_runs(runs, val, n_class, cfg, rngs)
-    for run, seed, rng, (buckets, weights, bias, history) in zip(runs, seeds, rngs, fits):
+    for run, seed, rng, (model, history) in zip(runs, seeds, rngs, fits):
         solo_rng = random.Random(seed)
         solo_model, solo_history = train(run, val, n_class, cfg, solo_rng)
-        model = LinearModel.zeros(n_class)
-        model.weights[:, buckets] = weights
-        model.bias = bias
         assert history == solo_history
-        np.testing.assert_array_equal(model.weights, solo_model.weights)
-        np.testing.assert_array_equal(model.bias, solo_model.bias)
+        assert_same_model(model, solo_model)
         assert rng.getstate() == solo_rng.getstate()
         assert_matches_dense(model, history, run, val, n_class, cfg, seed, batched=True)
     return fits
@@ -445,10 +466,10 @@ def surrogate_model():
 
 
 def model_digest(model, history):
-    """sha256 of a model's weights and bias bytes and its history's
-    (epoch, train_loss, val_accuracy) doubles."""
+    """sha256 of a model's weights, scattered into N_BUCKETS columns, and
+    bias bytes and its history's (epoch, train_loss, val_accuracy) doubles."""
     stats = np.array([(h.epoch, h.train_loss, h.val_accuracy) for h in history])
-    return hashlib.sha256(model.weights.tobytes() + model.bias.tobytes() + stats.tobytes()).hexdigest()
+    return hashlib.sha256(dense(model).tobytes() + model.bias.tobytes() + stats.tobytes()).hexdigest()
 
 
 class TestWeightsGolden:
@@ -467,13 +488,8 @@ class TestWeightsGolden:
         data, _, val, _ = surrogate_split()
         rngs = [random.Random(seed) for seed in (1, 2, 3)]
         runs = [augment_split(rng) for rng in rngs]
-        digests = []
-        for buckets, weights, bias, history in train_runs(runs, val, data.n_class, TrainConfig(), rngs):
-            model = LinearModel.zeros(data.n_class)
-            model.weights[:, buckets] = weights
-            model.bias = bias
-            digests.append(model_digest(model, history))
-        assert digests == self.RUNS
+        fits = train_runs(runs, val, data.n_class, TrainConfig(), rngs)
+        assert [model_digest(*fit) for fit in fits] == self.RUNS
 
 
 class TestTrainRuns:
@@ -514,23 +530,22 @@ class TestTrainRuns:
         seeds = data.draw(st.lists(st.integers(0, 100), min_size=len(runs), max_size=len(runs)))
         assert_runs_equal_separate_trainings(runs, val, n_class, cfg, seeds)
 
-    def test_runs_share_one_column_map(self):
+    def test_each_run_holds_its_own_buckets(self):
+        # the call maps every run's and the val split's buckets to columns,
+        # and pads rows with bucket 0; a run's model holds only the buckets
+        # its own rows stepped, as sorted int64 ids, each with a set bit
         examples, val = golden_fixture()
         runs = [examples[:10], examples[10:20], examples[20:]]
         rngs = [random.Random(seed) for seed in range(3)]
         fits = train_runs(runs, val, 3, TestTrainSemantics.GOLDEN_CFG, rngs)
         rows = [scalar_featurize(text) for text in [ex.text for ex in examples] + [t for t, _ in val]]
-        # rows with fewer keys than the widest are padded with bucket 0
-        padded = {0} if len({len(row) for row in rows}) > 1 else set()
-        union = sorted(set().union(*rows) | padded)
-        for run, (buckets, weights, *_) in zip(runs, fits):
-            np.testing.assert_array_equal(buckets, union)
+        assert 0 not in set().union(*rows) and len({len(row) for row in rows}) > 1
+        for run, (model, _) in zip(runs, fits):
             own = set().union(*(scalar_featurize(ex.text) for ex in run))
-            unused = ~np.isin(buckets, list(own))
-            assert unused.any() and weights[:, ~unused].any()
-            # exactly +0.0: no step, not even a signed zero, reached them
-            assert not weights[:, unused].any()
-            assert not np.signbit(weights[:, unused]).any()
+            assert model.buckets.dtype == np.int64
+            assert model.buckets.tolist() == sorted(own)
+            assert model.weights.shape == (3, len(own))
+            assert model.weights.view(np.uint64).any(axis=0).all()
 
     def test_first_failing_runs_error(self):
         # at this learning rate the logits overflow: run 0 fails at epoch 3,
@@ -557,10 +572,8 @@ class TestTrainRuns:
         assert str(fits[1]) == "non-finite training loss at epoch 1"
         for r in (0, 2):
             model, history = train(runs[r], val, 3, cfg, random.Random(r))
-            buckets, weights, bias, fit_history = fits[r]
-            assert fit_history == history
-            np.testing.assert_array_equal(model.weights[:, buckets], weights)
-            np.testing.assert_array_equal(model.bias, bias)
+            assert fits[r][1] == history
+            assert_same_model(fits[r][0], model)
 
     def test_inputs_rejected(self):
         run = hard_examples(TOY_TRAIN)
@@ -575,56 +588,14 @@ class TestTrainRuns:
             train_runs([hard_examples(TOY_TRAIN)], val, 2, TrainConfig(), [random.Random(0)])
 
 
-class TestFitAccuracy:
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_equals_evaluate_of_trained_model(self, data):
-        # the test texts draw on words no training row holds, so some of
-        # their buckets are outside every fit's columns
-        n_class = data.draw(st.integers(2, 4))
-        text = lambda words: st.lists(st.sampled_from(words), max_size=6).map(" ".join)
-        seen, unseen = ["a", "B", "c", "dd", "e"], ["x", "Yy", "z"]
-        labeled = lambda words: st.tuples(text(words), st.integers(0, n_class - 1))
-        runs = [
-            [AugmentedExample(t, smooth_label(y, n_class, 0.1), "original", i) for i, (t, y) in enumerate(pairs)]
-            for pairs in data.draw(st.lists(st.lists(labeled(seen), min_size=1, max_size=10), min_size=1, max_size=3))
-        ]
-        val = data.draw(st.lists(labeled(seen), min_size=1, max_size=4))
-        test = data.draw(st.lists(labeled(seen + unseen), min_size=1, max_size=10))
-        cfg = TrainConfig(
-            learning_rate=data.draw(st.sampled_from([0.05, 0.5, 2.0])),
-            batch_size=data.draw(st.integers(1, 8)),
-            max_epochs=3,
-            patience=3,
-        )
-        fits = train_runs(runs, val, n_class, cfg, [random.Random(seed) for seed in range(len(runs))])
-        ids, counts = classifier._index([t for t, _ in test])
-        y = classifier._labels(test, n_class)
-        for seed, (run, fit) in enumerate(zip(runs, fits)):
-            model, _ = train(run, val, n_class, cfg, random.Random(seed))
-            assert fit_accuracy(fit, ids, counts, y) == evaluate(model, test)
-
-    def test_unheld_buckets_score_zero(self):
-        # a model that holds only "good": "bad" reads +0.0, so the bias decides
-        buckets = np.array(sorted(featurize("good")))
-        fit = (buckets, np.array([[-1.0], [1.0]]), np.array([0.5, 0.0]), [])
-        test = [("good", 1), ("bad", 0), ("", 0)]
-        ids, counts = classifier._index([t for t, _ in test])
-        assert fit_accuracy(fit, ids, counts, classifier._labels(test, 2)) == 1.0
-
-    def test_failed_run_raises_its_error(self):
-        with pytest.raises(TrainingError, match="at epoch 2"):
-            fit_accuracy(TrainingError("non-finite training loss at epoch 2"), None, None, None)
-
-
 class TestEvaluate:
     def test_always_class_zero(self):
-        model = LinearModel.zeros(2)  # argmax ties break to class 0
+        model = zero_model(2)  # argmax ties break to class 0
         data = [("x y", 0), ("z w", 0)]
         assert evaluate(model, data) == 1.0
 
     def test_half_and_half(self):
-        model = LinearModel.zeros(2)
+        model = zero_model(2)
         data = [("x", 0), ("y", 1), ("z", 0), ("w", 1)]
         assert evaluate(model, data) == 0.5
 
@@ -636,28 +607,29 @@ class TestEvaluate:
         ]
         accs = []
         for _ in range(50):
-            model = LinearModel(
-                rng.normal(size=(2, N_BUCKETS)) * 0.01, rng.normal(size=2) * 0.01, 2
-            )
+            model = from_dense(rng.normal(size=(2, N_BUCKETS)) * 0.01, rng.normal(size=2) * 0.01)
             accs.append(evaluate(model, data))
         assert 0.46 <= sum(accs) / len(accs) <= 0.54
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            evaluate(LinearModel.zeros(2), [])
+            evaluate(zero_model(2), [])
 
     @pytest.mark.parametrize("label", [2, -1, 7])
     def test_label_outside_classes_rejected(self, label):
         # a label the model cannot predict is an input error, not a miss
         data = [("x y", 0), ("z", label), ("w", 1)]
         with pytest.raises(DomainError, match=f"label {label} is outside \\[0, 2\\): the model has 2 classes"):
-            evaluate(LinearModel.zeros(2), data)
+            evaluate(zero_model(2), data)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_matches_per_feature_logits(self, data):
-        # 16 buckets, so most keys collide; small integer weights, so argmax
-        # ties are common and must break the same way
+        # 16 buckets, so most keys collide; the model holds a random sorted
+        # subset of them, bucket 0 and columns of +0.0 and -0.0 among them,
+        # so most rows hold buckets it lacks, which must read +0.0 as in a
+        # dense scatter; small integer weights make argmax ties common, and
+        # they must break the same way
         n_class = data.draw(st.integers(2, 4))
         words = st.sampled_from(["a", "B", "c", "dd", "e", "Ff", "g", "h"])
         text = st.lists(words, max_size=7).map(" ".join)
@@ -665,26 +637,38 @@ class TestEvaluate:
             st.lists(st.tuples(text, st.integers(0, n_class - 1)), min_size=0, max_size=10)
         )
         pairs.append(("", data.draw(st.integers(0, n_class - 1))))
+        buckets = np.array(sorted(data.draw(st.sets(st.integers(0, 15)))), np.int64)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         if data.draw(st.booleans()):
             draw = lambda size: rng.integers(-2, 3, size=size).astype(float)
         else:
             draw = lambda size: rng.normal(scale=3.0, size=size)
+        weights = draw((n_class, len(buckets)))
+        zeros = data.draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=len(buckets)))
+        weights[:, : len(zeros)] = zeros  # whole columns of signed zeros
+        model = LinearModel(buckets, weights, draw(n_class))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(classifier, "N_BUCKETS", 16)
-            model = LinearModel(draw((n_class, 16)), draw(n_class), n_class)
-            ref = [loop_logits(model, scalar_featurize(t)) for t, _ in pairs]
+            full = dense(model)
+            ref = [loop_logits(full, model.bias, scalar_featurize(t)) for t, _ in pairs]
             recount = sum(int(np.argmax(z)) == y for z, (_, y) in zip(ref, pairs))
             assert evaluate(model, pairs) == recount / len(pairs)
             for z, (t, _) in zip(ref, pairs):
                 assert predict(model, t).tobytes() == softmax(z).tobytes()
 
+    def test_unheld_buckets_score_zero(self):
+        # a model that holds only "good": "bad" reads +0.0, so the bias decides
+        buckets = np.array(sorted(featurize("good")))
+        model = LinearModel(buckets, np.array([[-1.0], [1.0]]), np.array([0.5, 0.0]))
+        assert evaluate(model, [("good", 1), ("bad", 0), ("", 0)]) == 1.0
+
     def test_full_width_model_matches_per_feature_logits(self):
-        # the trained 2^18-bucket model, scored on every test sentence
+        # the trained model, scored on every test sentence against its
+        # scatter into 2^18 buckets
         data, *_ = surrogate_split()
         model, _ = surrogate_model()
-        test = data.split("test")
-        ref = [loop_logits(model, scalar_featurize(t)) for t, _ in test]
+        test, full = data.split("test"), dense(model)
+        ref = [loop_logits(full, model.bias, scalar_featurize(t)) for t, _ in test]
         for z, (t, _) in zip(ref, test):
             assert predict(model, t).tobytes() == softmax(z).tobytes()
         recount = sum(int(np.argmax(z)) == y for z, (_, y) in zip(ref, test))
@@ -695,10 +679,10 @@ class TestEvaluate:
         # At 1e16 one unit is below the spacing of doubles, so the order of
         # the sums decides class 1's logit: (1e16 - 1e16) + 1 = 1, but
         # (1e16 + 1) - 1e16 = 0, which ties with class 0 and loses
-        model = LinearModel.zeros(2)
-        model.bias[1] = 1e16
-        model.weights[1, next(iter(scalar_featurize("y")))] = -1e16
-        model.weights[1, next(iter(scalar_featurize("x")))] = 1.0
+        weights = np.zeros((2, N_BUCKETS))
+        weights[1, next(iter(scalar_featurize("y")))] = -1e16
+        weights[1, next(iter(scalar_featurize("x")))] = 1.0
+        model = from_dense(weights, np.array([0.0, 1e16]))
         data = [("x y", 0), ("y x", 1)]
         assert [int(np.argmax(predict(model, t))) for t, _ in data] == [0, 1]
         assert evaluate(model, data) == 1.0
@@ -719,7 +703,7 @@ class TestEvaluate:
             return states
 
         monkeypatch.setattr(classifier, "_fnv1a64_rows", spy)
-        assert evaluate(LinearModel.zeros(2), [("a b", 0), ("a b", 1)]) == 0.5
+        assert evaluate(zero_model(2), [("a b", 0), ("a b", 1)]) == 0.5
         assert sorted(hashed) == ["a", "a_b", "b"]
 
 
@@ -738,19 +722,13 @@ def checkpoint_arrays(**changes):
 
 
 def assert_round_trip(model):
-    """save_model then load_model gives back the model's weights and bias
-    byte for byte, and the file's buckets are the columns holding a set bit."""
+    """save_model then load_model gives back the model's buckets, weights
+    and bias byte for byte, and its labels."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.npz"
         save_model(model, path)
         loaded = load_model(path)
-        with np.load(path) as data:
-            buckets = data["buckets"]
-    w = model.weights
-    set_bit = np.flatnonzero(((w != 0) | np.signbit(w)).any(axis=0))
-    np.testing.assert_array_equal(buckets, set_bit)
-    assert loaded.weights.tobytes() == model.weights.tobytes()
-    assert loaded.bias.tobytes() == model.bias.tobytes()
+    assert_same_model(loaded, model)
     assert (loaded.n_class, loaded.labels) == (model.n_class, model.labels)
 
 
@@ -767,8 +745,7 @@ class TestCheckpoint:
         loaded = load_model(path)
         assert loaded.n_class == 2
         assert loaded.labels == ["neg", "pos"]
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        np.testing.assert_array_equal(loaded.bias, model.bias)
+        assert_same_model(loaded, model)
         for text, _ in TOY_TRAIN[:3]:
             np.testing.assert_array_equal(predict(loaded, text), predict(model, text))
 
@@ -855,22 +832,24 @@ class TestCheckpoint:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_round_trip_is_bit_exact(self, data):
+        # models built by hand: any sorted buckets, columns of +0.0 included
         n_class = data.draw(st.integers(2, 4))
-        held = data.draw(st.lists(st.integers(0, N_BUCKETS - 1), max_size=40, unique=True))
+        buckets = sorted(data.draw(st.sets(st.integers(0, N_BUCKETS - 1), max_size=40)))
         values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
-        model = LinearModel.zeros(n_class)
-        for bucket in held:
-            model.weights[:, bucket] = data.draw(st.lists(values, min_size=n_class, max_size=n_class))
-        model.bias = np.array(data.draw(st.lists(values, min_size=n_class, max_size=n_class)))
-        assert_round_trip(model)
+        column = st.lists(values, min_size=n_class, max_size=n_class)
+        columns = data.draw(st.lists(column, min_size=len(buckets), max_size=len(buckets)))
+        weights = np.array(columns).reshape(len(buckets), n_class).T.copy()
+        bias = np.array(data.draw(column))
+        assert_round_trip(LinearModel(np.array(buckets, np.int64), weights, bias))
 
     @pytest.mark.parametrize("fill", [None, -0.0, 1.5], ids=["no-bucket", "every-bucket-negative-zero",
                                                              "every-bucket"])
     def test_round_trip_at_the_extremes(self, fill):
-        model = LinearModel.zeros(3)
+        weights = np.zeros((3, N_BUCKETS))
         if fill is not None:
-            model.weights[:] = fill
-            model.weights[1, ::7] = -2.25
+            weights[:] = fill
+            weights[1, ::7] = -2.25
+        model = from_dense(weights, np.zeros(3))
         model.labels = ["a", "b", "c"]
         assert_round_trip(model)
 
@@ -888,7 +867,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(np, "savez", interrupted)
         with pytest.raises(OSError, match="No space"):
-            save_model(LinearModel.zeros(2), path)
+            save_model(zero_model(2), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
         np.testing.assert_array_equal(load_model(path).weights, model.weights)

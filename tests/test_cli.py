@@ -210,8 +210,9 @@ class TestTrainEvalCommands:
         acc = float(capsys.readouterr().out.strip())
         assert 0.0 <= acc <= 1.0
 
-    # sha256 of the checkpoint's weights and bias, then the train and eval
-    # stdout, for seed 0 on this dataset (the holdout comes from make_val_split)
+    # sha256 of the checkpoint's weights, scattered into N_BUCKETS columns,
+    # and bias, then the train and eval stdout, for seed 0 on this dataset
+    # (the holdout comes from make_val_split)
     TRAIN_EVAL_GOLDEN = (
         "a8618d3222827d6be882f08c5d42c56976848bfae535ce65ef7aa29691b54cb0",
         "trained 6 epochs, best val accuracy 1.0000 -> MODEL\n",
@@ -227,7 +228,9 @@ class TestTrainEvalCommands:
         trained = capsys.readouterr().out.replace(str(model), "MODEL")
         assert main(["eval", "--model", str(model), "--input", str(dataset)]) == 0
         m = load_model(model)
-        digest = hashlib.sha256(m.weights.tobytes() + m.bias.tobytes()).hexdigest()
+        weights = np.zeros((m.n_class, N_BUCKETS))
+        weights[:, m.buckets] = m.weights
+        digest = hashlib.sha256(weights.tobytes() + m.bias.tobytes()).hexdigest()
         assert (digest, trained, capsys.readouterr().out) == self.TRAIN_EVAL_GOLDEN
 
     def test_eval_malformed_checkpoint_is_data_error(self, dataset, tmp_path, capsys):

@@ -2,12 +2,13 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from softaug import harness
-from softaug.classifier import TrainConfig, _index, _labels, fit_accuracy, train_runs
+from softaug.classifier import TrainConfig, evaluate, train_runs
 from softaug.datasets import LabeledDataset, make_synthetic_reviews
 from softaug.errors import DomainError, TrainingError
 from softaug.harness import (
@@ -47,8 +48,8 @@ def cell_accuracy(method, test, seed):
     """A (method, seed) cell's test accuracy on the separable splits, trained
     and scored as run_experiment trains and scores it."""
     examples, rng = run_method(method, SEP_TRAIN, SEP_VAL, 2, LEX, FAST_CFG, seed)
-    [fit] = train_runs([examples], SEP_VAL, 2, FAST_CFG.train, [rng])
-    return fit_accuracy(fit, *_index([text for text, _ in test]), _labels(test, 2))
+    [(model, _)] = train_runs([examples], SEP_VAL, 2, FAST_CFG.train, [rng])
+    return evaluate(model, test)
 
 
 class TestRunMethod:
@@ -364,6 +365,23 @@ class TestRunExperiment:
         assert cfg.search.n_trials == 4
         assert cfg.space.p_aug == (0.2, 0.9)
         assert cfg.train.max_epochs == 5
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        path.write_text('{"cells": []}\n', encoding="utf-8")
+
+        def interrupted(self, text, **kwargs):
+            with open(self, "w", **kwargs) as f:
+                f.write(text[:5])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", interrupted)
+        with pytest.raises(OSError, match="No space"):
+            harness._atomic_write(path, '{"cells": [1]}\n')
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        assert path.read_bytes() == b'{"cells": []}\n'
 
 
 class TestSeedSplits:

@@ -134,7 +134,7 @@ class TestObjective:
     def test_first_failed_runs_error_raised(self, monkeypatch):
         # run 0 trains, runs 1 and 2 fail: the trial raises run 1's error, as
         # separate trainings would
-        fits = [(None, None, None, [EpochStats(1, 0.5, 1.0)])]
+        fits = [(None, [EpochStats(1, 0.5, 1.0)])]
         fits += [TrainingError(f"non-finite training loss at epoch {e}") for e in (3, 2)]
         monkeypatch.setattr(search, "train_runs", lambda *args: fits)
         policy = sample_policy(SPACE, random.Random(0))
