@@ -11,6 +11,13 @@ A source is prepared once: `eda_copies` draws its copies from the
 source's `SynonymLexicon.eligible` words and the policy's
 `cumulative_mix`. `eda`, `synonym_replacement` and `random_insertion` are
 its one-sentence views: they prepare, then draw.
+
+Every uniform integer draw goes through `_below`, the rejection loop of
+`random.Random.randrange` on its public `getrandbits`: each draw, output
+and end state of the rng equals what `choice`, `randrange` and `randint`
+would give. `rng.sample` and `rng.random` are called as they are.
+`policy.apply_policy` wraps the copies in `AugmentedExample`s: slots
+dataclasses whose shared soft labels are read-only arrays.
 """
 from __future__ import annotations
 
@@ -46,6 +53,18 @@ def _require_nonempty(seq: list[str]):
         raise DomainError("empty sentence")
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform integer in [0, n): the value and the rng draws of
+    `random.Random.randrange(n)`. Precondition: n >= 1. At n = 0 it never
+    returns (getrandbits(0) is always 0), like the stdlib's private
+    `_randbelow`; every call site guarantees n >= 1."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _num_ops(alpha: float, length: int) -> int:
     # round half up so ties resolve identically everywhere
     return max(1, math.floor(alpha * length + 0.5))
@@ -67,7 +86,7 @@ def synonym_replacement(
 def _replace(seq: list[str], eligible: list, n: int, rng: random.Random) -> list[str]:
     out = list(seq)
     for i, syns in rng.sample(eligible, min(n, len(eligible))):
-        out[i] = rng.choice(syns)
+        out[i] = syns[_below(rng, len(syns))]
     return out
 
 
@@ -87,8 +106,9 @@ def _insert(seq: list[str], eligible: list, n: int, rng: random.Random) -> list[
     out = list(seq)
     if eligible:
         for _ in range(n):
-            syn = rng.choice(rng.choice(eligible)[1])
-            out.insert(rng.randrange(len(out) + 1), syn)
+            syns = eligible[_below(rng, len(eligible))][1]
+            syn = syns[_below(rng, len(syns))]  # the synonym is drawn before its position
+            out.insert(_below(rng, len(out) + 1), syn)
     return out
 
 
@@ -113,7 +133,7 @@ def random_deletion(seq: list[str], alpha: float, rng: random.Random) -> list[st
     _require_nonempty(seq)
     out = [tok for tok in seq if rng.random() >= alpha]
     if not out:
-        out = [seq[rng.randrange(len(seq))]]
+        out = [seq[_below(rng, len(seq))]]
     return out
 
 
@@ -129,14 +149,15 @@ def eda_copies(
     and `cumulative_mix(policy)`. Each copy picks one suboperation with one
     rng draw, the draw `random.choices` makes, and applies it with its
     magnitude (alpha_sr .. alpha_rd)."""
+    n_sr, n_ri = _num_ops(policy.alpha_sr, len(seq)), _num_ops(policy.alpha_ri, len(seq))
     copies = []
     for _ in range(k):
         # choices' own pick; hi = 3 keeps a product rounded up to cum[-1] on the last op
         kind = bisect(cum, rng.random() * cum[-1], 0, 3)
         if kind == 0:
-            copies.append(_replace(seq, eligible, _num_ops(policy.alpha_sr, len(seq)), rng))
+            copies.append(_replace(seq, eligible, n_sr, rng))
         elif kind == 1:
-            copies.append(_insert(seq, eligible, _num_ops(policy.alpha_ri, len(seq)), rng))
+            copies.append(_insert(seq, eligible, n_ri, rng))
         elif kind == 2:
             copies.append(random_swap(seq, policy.alpha_rs, rng))
         else:
@@ -166,9 +187,9 @@ def aeda(seq: list[str], rng: random.Random) -> list[str]:
     marks recovers the input exactly.
     """
     _require_nonempty(seq)
-    k = rng.randint(1, max(1, len(seq) // 3))
+    k = 1 + _below(rng, max(1, len(seq) // 3))
     out = list(seq)
     for _ in range(k):
-        mark = rng.choice(PUNCTUATION_MARKS)
-        out.insert(rng.randrange(len(out) + 1), mark)
+        mark = PUNCTUATION_MARKS[_below(rng, len(PUNCTUATION_MARKS))]
+        out.insert(_below(rng, len(out) + 1), mark)
     return out

@@ -14,8 +14,10 @@ from pathlib import Path
 from .classifier import evaluate, load_model, save_model, train
 from .datasets import load_dataset, make_val_split
 from .errors import DataError, DomainError, TrainingError
-from .harness import ExperimentConfig, load_experiment_lexicon, render_report, run_experiment, seed_splits
-from .policy import AugmentationPolicy, apply_policy, write_augmented_jsonl
+from .harness import (
+    ExperimentConfig, _atomic_write, load_experiment_lexicon, render_report, run_experiment, seed_splits,
+)
+from .policy import AugmentationPolicy, apply_policy
 from .search import SearchConfig, optimize
 
 
@@ -89,7 +91,8 @@ def _cmd_augment(args) -> int:
         data.split("train"), data.n_class, policy, load_experiment_lexicon(args.lexicon),
         random.Random(args.seed),
     )
-    write_augmented_jsonl(args.output, examples)
+    # the whole file is built, then swapped in: a failure leaves the old output
+    _atomic_write(Path(args.output), "".join(json.dumps(ex.to_dict()) + "\n" for ex in examples))
     print(f"wrote {len(examples)} examples to {args.output}")
     return 0
 
@@ -110,7 +113,7 @@ def _cmd_search(args) -> int:
             tr, val, data.n_class, cfg.space, lex, cfg.search, cfg.train, args.seed, log,
             smoothing=not args.no_label_smoothing,
         )
-    (out / "best_policy.json").write_text(best.to_json() + "\n", encoding="utf-8")
+    _atomic_write(out / "best_policy.json", best.to_json() + "\n")
     best_score = max(r.score for r in history)
     print(f"best policy (val accuracy {best_score:.4f}) -> {out / 'best_policy.json'}")
     return 0

@@ -183,8 +183,16 @@ def _renormalize(weights: list[float]) -> list[float]:
     return probs
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AugmentedExample:
+    """One soft-labeled training example. A slots dataclass, not a frozen
+    one: nothing reassigns a field, and a frozen `__init__` would set each
+    field through `object.__setattr__`. The soft labels `apply_policy`
+    gives are read-only arrays, shared by every example of one (class,
+    eps). An augmented copy's integer draws go through `augment._below`,
+    which gives the values of `random.Random`'s `choice`, `randrange` and
+    `randint`."""
+
     text: str
     soft_label: np.ndarray
     provenance: str  # "original" | "eda-augmented" (every copy, aeda ones too)
@@ -247,9 +255,3 @@ def apply_policy(
         soft = label(y, policy.eps_aug)
         out += [AugmentedExample(detokenize(c), soft, "eda-augmented", i) for c in copies]
     return out
-
-
-def write_augmented_jsonl(path, examples: list[AugmentedExample]):
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(json.dumps(ex.to_dict()) + "\n")

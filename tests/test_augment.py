@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from softaug.augment import (
     PUNCTUATION_MARKS,
+    _below,
     aeda,
     eda,
     random_deletion,
@@ -304,11 +305,24 @@ def ref_ri(seq, alpha, lex, rng):
     return out
 
 
+def ref_rs(seq, alpha, rng):
+    out = list(seq)
+    for _ in range(max(1, math.floor(alpha * len(seq) + 0.5)) if len(seq) >= 2 else 0):
+        i, j = rng.sample(range(len(out)), 2)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def ref_rd(seq, alpha, rng):
+    out = [tok for tok in seq if rng.random() >= alpha]
+    return out or [seq[rng.randrange(len(seq))]]
+
+
 def ref_eda(seq, p, lex, rng):
     kind = rng.choices(SUBOPS, (p.p_sr, p.p_ri, p.p_rs, p.p_rd))[0]
     if kind in ("sr", "ri"):
         return (ref_sr if kind == "sr" else ref_ri)(seq, getattr(p, f"alpha_{kind}"), lex, rng)
-    return random_swap(seq, p.alpha_rs, rng) if kind == "rs" else random_deletion(seq, p.alpha_rd, rng)
+    return ref_rs(seq, p.alpha_rs, rng) if kind == "rs" else ref_rd(seq, p.alpha_rd, rng)
 
 
 def ref_aeda(seq, rng):
@@ -359,8 +373,24 @@ class TestPreparedMatchesPerCopyReference:
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert synonym_replacement(seq, alpha, REF_LEX, rng) == ref_sr(seq, alpha, REF_LEX, ref_rng)
         assert random_insertion(seq, alpha, REF_LEX, rng) == ref_ri(seq, alpha, REF_LEX, ref_rng)
+        assert random_swap(seq, alpha, rng) == ref_rs(seq, alpha, ref_rng)
+        assert random_deletion(seq, alpha, rng) == ref_rd(seq, alpha, ref_rng)
         assert aeda(seq, rng) == ref_aeda(seq, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
+
+    def test_deleting_every_token_keeps_one(self):
+        seq = ["good", "film", "the", "plot", "zebra"]
+        kept = set()
+        for seed in range(40):
+            rng, ref_rng, coins = random.Random(seed), random.Random(seed), random.Random(seed)
+            out = random_deletion(seq, 1.0, rng)
+            assert out == ref_rd(seq, 1.0, ref_rng) and len(out) == 1
+            assert rng.getstate() == ref_rng.getstate()
+            for _ in seq:
+                coins.random()
+            assert rng.getstate() != coins.getstate()  # the keep-one draw ran
+            kept.update(out)
+        assert kept == set(seq)
 
     @given(st.lists(ref_words, min_size=1, max_size=12), policies, st.integers(0, 2**32))
     def test_eda(self, seq, policy, seed):
@@ -368,6 +398,19 @@ class TestPreparedMatchesPerCopyReference:
         assert [eda(seq, policy, REF_LEX, rng) for _ in range(4)] == [
             ref_eda(seq, policy, REF_LEX, ref_rng) for _ in range(4)
         ]
+        assert rng.getstate() == ref_rng.getstate()
+
+
+# n >= 1 up to 2**64, weighted toward the bit-length edges 2**j - 1, 2**j, 2**j + 1
+bit_edges = st.builds(lambda j, d: 2**j + d, st.integers(0, 64), st.sampled_from([-1, 0, 1]))
+below_bounds = st.one_of(bit_edges.filter(lambda n: 1 <= n <= 2**64), st.integers(1, 2**64))
+
+
+class TestBelow:
+    @given(st.integers(0, 2**32), below_bounds)
+    def test_matches_randrange(self, seed, n):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert [_below(rng, n) for _ in range(3)] == [ref_rng.randrange(n) for _ in range(3)]
         assert rng.getstate() == ref_rng.getstate()
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +11,20 @@ from softaug import cli
 from softaug.classifier import N_BUCKETS, load_model, save_model
 from softaug.cli import main
 from softaug.errors import TrainingError
-from softaug.policy import AugmentationPolicy
+from softaug.policy import AugmentationPolicy, AugmentedExample
 
 POLICY = AugmentationPolicy(
     p_aug=1.0, p_sr=0.25, p_ri=0.25, p_rs=0.25, p_rd=0.25,
     alpha_sr=0.1, alpha_ri=0.1, alpha_rs=0.1, alpha_rd=0.1,
     n_aug=2, eps_ori=0.0, eps_aug=0.1,
 )
+
+
+def interrupted_write(path, text, **kwargs):
+    # Path.write_text that runs out of disk after 5 bytes
+    with open(path, "w", **kwargs) as f:
+        f.write(text[:5])
+    raise OSError(28, "No space left on device")
 
 
 @pytest.fixture
@@ -61,6 +70,43 @@ class TestAugmentCommand:
             assert set(row) == {"text", "soft_label", "provenance", "source_index"}
             assert row["provenance"] in ("original", "eda-augmented")
             assert abs(sum(row["soft_label"]) - 1.0) <= 1e-9
+
+    # sha256 of the augment output for seed 3
+    OUTPUT_GOLDEN = "4f9feb575b2ed14ac2cb04566dde20f8c3d27205899b2e2c9cd2bdfc5f43b1f2"
+
+    def test_output_golden(self, dataset, policy_file, tmp_path, capsys):
+        out = tmp_path / "aug.jsonl"
+        argv = ["augment", "--input", str(dataset), "--policy", str(policy_file), "--seed", "3"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.OUTPUT_GOLDEN
+
+    def test_failed_build_keeps_the_old_output(self, dataset, policy_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "aug.jsonl"
+        out.write_text("OLD CONTENT\n")
+        calls = itertools.count()
+        to_dict = AugmentedExample.to_dict
+
+        def third_call_fails(ex):
+            if next(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return to_dict(ex)
+
+        monkeypatch.setattr(AugmentedExample, "to_dict", third_call_fails)
+        argv = ["augment", "--input", str(dataset), "--policy", str(policy_file), "--seed", "3"]
+        assert main(argv + ["--output", str(out)]) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aug.jsonl", "data.jsonl", "policy.json"]
+        assert out.read_bytes() == b"OLD CONTENT\n"
+
+    def test_interrupted_write_keeps_the_old_output(self, dataset, policy_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "aug.jsonl"
+        out.write_text("OLD CONTENT\n")
+        monkeypatch.setattr(Path, "write_text", interrupted_write)
+        argv = ["augment", "--input", str(dataset), "--policy", str(policy_file), "--seed", "3"]
+        assert main(argv + ["--output", str(out)]) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aug.jsonl", "data.jsonl", "policy.json"]
+        assert out.read_bytes() == b"OLD CONTENT\n"
 
     def test_missing_file_is_data_error(self, policy_file, tmp_path):
         code = main([
@@ -187,6 +233,21 @@ class TestSearchCommand:
             for name in ("trials.jsonl", "best_policy.json")
         )
         assert digests == self.GOLDEN[flags]
+
+    def test_interrupted_write_keeps_the_old_best_policy(self, dataset, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "searchout"
+        out.mkdir()
+        (out / "best_policy.json").write_text("OLD CONTENT\n")
+        monkeypatch.setattr(Path, "write_text", interrupted_write)
+        code = main([
+            "search", "--input", str(dataset), "--n-train", "40", "--trials", "2",
+            "--seed", "0", "--output", str(out),
+        ])
+        assert code == 2
+        assert "No space left" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["best_policy.json", "trials.jsonl"]
+        assert (out / "best_policy.json").read_bytes() == b"OLD CONTENT\n"
+        assert len((out / "trials.jsonl").read_text().splitlines()) == 2  # the streamed log is whole
 
     def test_missing_lexicon_writes_nothing(self, dataset, tmp_path, capsys):
         out = tmp_path / "searchout"

@@ -327,6 +327,34 @@ class TestApplyPolicyGolden:
         # one array per (class, eps): 2 classes x 2 smoothing factors
         assert len({id(ex.soft_label) for ex in out}) == 4
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        split=st.lists(
+            st.tuples(st.sampled_from([text for text, _ in SENTENCES] + ["   "]), st.integers(0, 2)),
+            min_size=1,
+            max_size=8,
+        ),
+        op=st.sampled_from(["eda", "aeda"]),
+        eps_ori=st.sampled_from([0.0, 0.1, 0.3]),
+        eps_aug=st.sampled_from([0.0, 0.1, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_read_only_array_per_class_and_eps(self, split, op, eps_ori, eps_aug, seed):
+        # the examples are not frozen; the read-only arrays guard their labels
+        policy = replace(BASELINE_POLICY, eps_ori=eps_ori, eps_aug=eps_aug)
+        out = apply_policy(split, 3, policy, LEX, random.Random(seed), op=op)
+        shared = {}
+        for ex in out:
+            assert not ex.soft_label.flags.writeable
+            eps = eps_ori if ex.provenance == "original" else eps_aug
+            assert shared.setdefault((split[ex.source_index][1], eps), ex.soft_label) is ex.soft_label
+        assert len({id(label) for label in shared.values()}) == len(shared)
+
+    def test_examples_are_slots_dataclasses(self):
+        ex = apply_policy(SENTENCES, 2, BASELINE_POLICY, LEX, random.Random(0))[0]
+        assert not hasattr(ex, "__dict__")
+        assert replace(ex, text="x").soft_label is ex.soft_label
+
     def test_label_of_an_out_of_range_class_still_rejected(self):
         with pytest.raises(DomainError, match="class index 2"):
             apply_policy([("good film", 2)], 2, BASELINE_POLICY, LEX, random.Random(0))
