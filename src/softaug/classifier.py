@@ -29,11 +29,12 @@ keyed by bucket, so a row depends only on its text; training renumbers
 buckets to dense columns, and evaluate and predict map them onto the
 model's, where a bucket the model does not hold reads +0.0) and one
 scoring routine (_logits: the bias plus the first term, then each further
-term in first-occurrence order). The indexer hashes in numpy, one step per
-byte position over a padded byte matrix of the batch's distinct tokens; a
-distinct bigram a_b continues a's 64-bit state over "_" and b, so no
-bigram string is built. featurize(text) is the indexer's row for one
-text, so it is by construction the counts the model reads.
+term in first-occurrence order). The indexer takes each distinct text
+once, joins the tokens into one UTF-8 buffer and hashes each occurrence in
+numpy over its span, one step per byte position; a bigram a_b continues
+a's 64-bit state over "_" and b's span, so no bigram string is built.
+featurize(text) is the indexer's row for one text, so it is by
+construction the counts the model reads.
 A checkpoint (version 2) stores a model's arrays as they are, uncompressed,
 and load_model validates every field before it builds the model from them.
 """
@@ -110,61 +111,56 @@ class EpochStats:
     val_accuracy: float
 
 
-def _fnv1a64_rows(h: np.ndarray, data: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """FNV-1a 64 states `h` continued over each row of the uint8 matrix
-    `data`, up to the row's length: one xor and one wrapping multiply per
-    byte position, kept on the rows still that long."""
-    for j in range(data.shape[1]):
-        h = np.where(lengths > j, (h ^ data[:, j]) * np.uint64(_FNV_PRIME), h)
-    return h
+def _fnv1a64_spans(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """FNV-1a 64 states `h` continued over the spans buf[start : start +
+    length] of the uint8 buffer, one xor and one wrapping multiply per byte
+    position. The spans are visited longest first, so byte position j works
+    on the prefix of the spans longer than j."""
+    order = np.argsort(-lengths)
+    h, starts = h[order], starts[order]
+    longer = len(lengths) - np.cumsum(np.bincount(lengths))  # [j]: spans longer than j
+    for j, n in enumerate(longer[:-1].tolist()):
+        h[:n] ^= buf[starts[:n] + j]
+        h[:n] *= np.uint64(_FNV_PRIME)
+    states = np.empty_like(h)
+    states[order] = h
+    return states
 
 
 def _key_codes(texts: list[str]) -> np.ndarray:
     """text * N_BUCKETS + bucket of every key of the texts, text by text.
     A text's keys are its lowercased whitespace tokens, then each adjacent
     pair a, b as the bigram a_b; a key's bucket is its UTF-8 bytes' FNV-1a
-    64 masked to N_BUCKETS. Each distinct token is hashed once, and each
-    distinct bigram a_b once, continuing a's 64-bit state over b"_" and b."""
+    64 masked to N_BUCKETS. The tokens are joined into one UTF-8 buffer, and
+    each token and bigram occurrence is hashed over its span of it, a bigram
+    a_b continuing a's 64-bit state over b"_" and b."""
     tokens = [text.lower().split() for text in texts]
-    flat = [t for toks in tokens for t in toks]
-    ids = {t: i for i, t in enumerate(dict.fromkeys(flat))}
-    codes = np.fromiter(map(ids.__getitem__, flat), np.intp, len(flat))
-    n_tok = np.fromiter(map(len, tokens), np.intp, len(texts))
-    del tokens, flat  # one string per token; codes and n_tok say the rest
-    text_of = np.repeat(np.arange(len(texts)), n_tok)
-
-    # distinct tokens' UTF-8 bytes, zero-padded; the lengths come from the
-    # bytes, since numpy drops trailing NULs from its S items
-    raw = [t.encode("utf-8") for t in ids]
-    lengths = np.fromiter(map(len, raw), np.intp, len(raw))
-    data = np.array(raw, dtype=np.bytes_)
-    data = data.view(np.uint8).reshape(len(raw), data.itemsize)
-    states = _fnv1a64_rows(np.full(len(raw), _FNV_OFFSET, np.uint64), data, lengths)
+    text_of = np.repeat(np.arange(len(texts)), np.fromiter(map(len, tokens), np.intp, len(texts)))
+    # a token holds no whitespace, and UTF-8 puts no 0x20 inside a multi-byte
+    # sequence: the tokens are the non-empty runs between the spaces
+    buf = np.frombuffer(f" {' '.join(map(' '.join, tokens))} ".encode("utf-8"), np.uint8)
+    cuts = np.flatnonzero(buf == ord(" "))
+    gaps = np.diff(cuts) - 1
+    starts, lengths = cuts[:-1][gaps > 0] + 1, gaps[gaps > 0]
+    states = _fnv1a64_spans(np.full(len(starts), _FNV_OFFSET, np.uint64), buf, starts, lengths)
 
     # a bigram starts at each token that the next token's text shares
-    starts = np.flatnonzero(text_of[:-1] == text_of[1:])
-    pairs, pair_of = np.unique(codes[starts] * len(raw) + codes[starts + 1], return_inverse=True)
-    a, b = np.divmod(pairs, len(raw))
-    h = (states[a] ^ np.uint64(ord("_"))) * np.uint64(_FNV_PRIME)
-    pair_states = _fnv1a64_rows(h, data[b], lengths[b])
+    first = np.flatnonzero(text_of[:-1] == text_of[1:])
+    h = (states[first] ^ np.uint64(ord("_"))) * np.uint64(_FNV_PRIME)
+    pair_states = _fnv1a64_spans(h, buf, starts[first + 1], lengths[first + 1])
 
-    # each text's keys are its unigrams, then its bigrams: a unigram comes
-    # after the earlier texts' bigrams, a bigram after the unigrams of its
-    # own and the earlier texts
-    n_bi = np.maximum(n_tok - 1, 0)
-    uni_at = np.arange(len(codes)) + (np.cumsum(n_bi) - n_bi)[text_of]
-    bi_at = np.arange(len(starts)) + np.cumsum(n_tok)[text_of[starts]]
-    mask = np.uint64(N_BUCKETS - 1)
-    keys = np.repeat(np.arange(len(texts)) * N_BUCKETS, n_tok + n_bi)
-    keys[uni_at] += (states[codes] & mask).astype(np.intp)
-    keys[bi_at] += (pair_states[pair_of] & mask).astype(np.intp)
-    return keys
+    # a stable sort by text puts each text's unigrams before its bigrams
+    rows = np.concatenate([text_of, text_of[first]])
+    buckets = (np.concatenate([states, pair_states]) & np.uint64(N_BUCKETS - 1)).astype(np.intp)
+    return (rows * N_BUCKETS + buckets)[np.argsort(rows, kind="stable")]
 
 
 def _index(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(buckets, counts) rows of each text's key counts, in first-occurrence
-    order and padded with bucket 0 at count 0."""
-    code = _key_codes(texts)
+    order and padded with bucket 0 at count 0. A row depends only on its
+    text: each distinct text is indexed once, its row gathered per position."""
+    slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    code = _key_codes(list(slot))
     # a stable sort groups each (text, bucket) with its first position first
     order = np.argsort(code, kind="stable")
     group = np.flatnonzero(np.diff(code[order], prepend=-1))
@@ -172,13 +168,14 @@ def _index(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     tally[order[group]] = np.diff(group, append=len(code))
     first = np.flatnonzero(tally)
     rows, buckets = np.divmod(code[first], N_BUCKETS)
-    per_row = np.bincount(rows, minlength=len(texts))
+    per_row = np.bincount(rows, minlength=len(slot))
     col = np.arange(len(first)) - (np.cumsum(per_row) - per_row)[rows]
-    ids = np.zeros((len(texts), per_row.max(initial=0)), np.intp)
+    ids = np.zeros((len(slot), per_row.max(initial=0)), np.intp)
     counts = np.zeros(ids.shape)
     ids[rows, col] = buckets
     counts[rows, col] = tally[first]
-    return ids, counts
+    inverse = np.fromiter(map(slot.__getitem__, texts), np.intp, len(texts))
+    return ids[inverse], counts[inverse]
 
 
 def featurize(text: str) -> dict[int, float]:

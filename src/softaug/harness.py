@@ -242,7 +242,8 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     each model on the test split. A cell whose set building or training raises
     a SoftAugError is recorded and excluded rather than aborting the sweep
     (any other error propagates); with an output directory, its traceback
-    goes to failure_<method>_seed<seed>.txt. A dataset with fewer than two
+    goes to failure_<method>_seed<seed>.txt; the run first removes that
+    file for every (method, seed) it runs. A dataset with fewer than two
     classes raises DataError before any cell runs."""
     data = _load_experiment_dataset(cfg)
     if data.n_class < 2:
@@ -254,6 +255,8 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
+        for name in [f"failure_{m}_seed{s}.txt" for m in cfg.methods for s in cfg.seeds]:
+            (out_dir / name).unlink(missing_ok=True)
 
     scores: dict[str, list[float]] = {m: [] for m in cfg.methods}
     failures: dict[str, list[int]] = {m: [] for m in cfg.methods}

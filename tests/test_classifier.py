@@ -2,6 +2,7 @@ import functools
 import hashlib
 import random
 import tempfile
+import tracemalloc
 import zipfile
 from dataclasses import replace
 from pathlib import Path
@@ -90,17 +91,31 @@ TEXTS = st.one_of(
 
 class TestIndex:
     def test_vector_hasher_reference_values(self):
-        # published FNV-1a 64 test vectors; the empty row's padding is not hashed
-        data = np.array([b"", b"a"]).view(np.uint8).reshape(2, 1)
-        states = classifier._fnv1a64_rows(
-            np.full(2, fnv1a64(b""), np.uint64), data, np.array([0, 1])
+        # published FNV-1a 64 test vectors as spans (start, length) of b"a"
+        buf = np.frombuffer(b"a", np.uint8)
+        states = classifier._fnv1a64_spans(
+            np.full(2, fnv1a64(b""), np.uint64), buf, np.array([0, 0]), np.array([0, 1])
         )
         assert states.tolist() == [0xCBF29CE484222325, 0xAF63DC4C8601EC8C]
+        # a zero-length span inside a longer buffer hashes no byte
+        buf = np.frombuffer(b"xay", np.uint8)
+        states = classifier._fnv1a64_spans(
+            np.full(3, fnv1a64(b""), np.uint64), buf, np.array([1, 1, 0]), np.array([0, 1, 3])
+        )
+        assert states.tolist() == [0xCBF29CE484222325, 0xAF63DC4C8601EC8C, fnv1a64(b"xay")]
 
     @settings(max_examples=300, deadline=None)
     @given(texts=st.lists(TEXTS, min_size=1, max_size=6), few_buckets=st.booleans())
     @example(texts=["", " \t"], few_buckets=False)
     @example(texts=["İx a\x00b c\x00 " + "é" * 40, "İx c\x00"], few_buckets=True)
+    # every separator str.split splits on beyond ASCII space, tab and newline
+    @example(
+        texts=["a\x85b\xa0c\u1680d\u2000e\u2028f", "g\u2029h\u202fi\u205fj\u3000k",
+               "l\x1cm\x1dn\x1eo\x1fp"],
+        few_buckets=False,
+    )
+    # repeated texts, and texts that differ only in case
+    @example(texts=["A b", "a b", "", "a b", "b"], few_buckets=True)
     def test_rows_equal_featurize(self, texts, few_buckets):
         with pytest.MonkeyPatch.context() as mp:
             if few_buckets:
@@ -138,6 +153,19 @@ class TestIndex:
         for name, texts in inputs.items():
             ids, counts = classifier._index(texts)
             assert hashlib.sha256(ids.tobytes() + counts.tobytes()).hexdigest() == self.GOLDEN[name]
+
+    def test_long_token_memory(self):
+        # memory grows with the batch's bytes (about 0.5 MiB peak here), not
+        # with its keys times its longest token (~2000 x 5000 bytes here)
+        texts = [f"w{i} w{i + 1}" for i in range(1000)] + ["w0 " + "x" * 5000]
+        classifier._index(texts[:2])
+        tracemalloc.start()
+        try:
+            classifier._index(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestPredict:
@@ -688,23 +716,36 @@ class TestEvaluate:
         assert evaluate(model, data) == 1.0
 
     def test_each_distinct_key_hashed_once(self, monkeypatch):
-        # a hashed row is named by its start state: the offset basis starts a
-        # token, and a key's state continued over "_" starts a bigram
-        hashed = []
-        prefix = {fnv1a64(b""): ""}
-        hash_rows = classifier._fnv1a64_rows
-
-        def spy(h, data, lengths):
-            states = hash_rows(h, data, lengths)
-            for start, row, n, state in zip(h.tolist(), data.tolist(), lengths.tolist(), states.tolist()):
-                key = prefix[start] + bytes(row[:n]).decode()
-                hashed.append(key)
-                prefix[(state ^ ord("_")) * 0x100000001B3 % 2**64] = key + "_"
-            return states
-
-        monkeypatch.setattr(classifier, "_fnv1a64_rows", spy)
+        # identical texts are indexed once, so their keys are hashed once
+        hashed = spy_hashed_keys(monkeypatch)
         assert evaluate(zero_model(2), [("a b", 0), ("a b", 1)]) == 0.5
         assert sorted(hashed) == ["a", "a_b", "b"]
+
+    def test_distinct_texts_hash_each_occurrence(self, monkeypatch):
+        # distinct texts are hashed occurrence by occurrence: "a" once in each
+        hashed = spy_hashed_keys(monkeypatch)
+        assert evaluate(zero_model(2), [("a b", 0), ("a c", 1)]) == 0.5
+        assert sorted(hashed) == ["a", "a", "a_b", "a_c", "b", "c"]
+
+
+def spy_hashed_keys(monkeypatch):
+    """The list of keys the span hasher is given, as it fills. A span is
+    named by its start state: the offset basis starts a token, and a key's
+    state continued over "_" starts a bigram."""
+    hashed = []
+    prefix = {fnv1a64(b""): ""}
+    hash_spans = classifier._fnv1a64_spans
+
+    def spy(h, buf, starts, lengths):
+        states = hash_spans(h, buf, starts, lengths)
+        for start, at, n, state in zip(h.tolist(), starts.tolist(), lengths.tolist(), states.tolist()):
+            key = prefix[start] + buf[at : at + n].tobytes().decode()
+            hashed.append(key)
+            prefix[(state ^ ord("_")) * 0x100000001B3 % 2**64] = key + "_"
+        return states
+
+    monkeypatch.setattr(classifier, "_fnv1a64_spans", spy)
+    return hashed
 
 
 def checkpoint_arrays(**changes):

@@ -213,6 +213,35 @@ class TestRunExperiment:
         assert (out / "report.json").read_text() == expected
         assert sorted(f.name for f in out.glob("failure_*")) == ["failure_eda_seed0.txt"]
 
+    def test_clean_rerun_removes_earlier_failures(self, tmp_path, monkeypatch):
+        # a run whose eda cell failed on seed 0, then a clean run into the
+        # same directory: the rerun owns every failure_<method>_seed<seed>
+        # name of its config, so the old traceback does not outlive it
+        def train_runs_failing_eda_seed0(runs, *args):
+            fits = real_train_runs(runs, *args)
+            fits[1] = TrainingError("forced failure")
+            return fits
+
+        real_train_runs = harness.train_runs
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(
+            dataset_path=str(tiny_dataset_file(tmp_path)),
+            methods=("baseline", "eda"),
+            seeds=(0,),
+            n_train=20,
+            train=TrainConfig(max_epochs=2, patience=2),
+            output_dir=str(out),
+        )
+        with monkeypatch.context() as m:
+            m.setattr(harness, "train_runs", train_runs_failing_eda_seed0)
+            assert run_experiment(cfg).incomplete
+        (out / "failure_eda_seed1.txt").write_text("not this config's\n")
+        report = run_experiment(cfg)
+        assert not report.incomplete
+        assert [f.name for f in out.glob("failure_*")] == ["failure_eda_seed1.txt"]
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert (out / "report.json").read_text() == expected
+
     # sha256 of (report.json, report.txt) with eda failing on seed 0 and
     # softeda_fixed on every seed: pins a partly failed cell, a "failed"
     # cell with its NaN mean, the WARNING line and the incomplete flag
