@@ -13,9 +13,11 @@ source's `SynonymLexicon.eligible` words and the policy's
 its one-sentence views: they prepare, then draw.
 
 Every uniform integer draw goes through `_below`, the rejection loop of
-`random.Random.randrange` on its public `getrandbits`: each draw, output
-and end state of the rng equals what `choice`, `randrange` and `randint`
-would give. `rng.sample` and `rng.random` are called as they are.
+`random.Random.randrange` on its public `getrandbits`, and every pick
+without replacement through `_sample`, CPython's `random.Random.sample`
+on `_below`: each draw, output and end state of the rng equals what
+`choice`, `randrange`, `randint` and `sample` would give. Only
+`rng.random` is still called as it is.
 `policy.apply_policy` wraps the copies in `AugmentedExample`s: slots
 dataclasses whose shared soft labels are read-only arrays.
 """
@@ -65,6 +67,33 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
+def _sample(rng: random.Random, population, k: int) -> list:
+    """k distinct picks from the sequence `population`: the values and the
+    rng draws of `random.Random.sample(population, k)`, for 0 <= k <= n.
+    Like CPython, it keeps a pool of the n unpicked items when that list is
+    smaller than a set of k picks, and otherwise redraws a pick it has."""
+    n = len(population)
+    setsize = 21  # CPython's size of a small set minus that of an empty list
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    out = []
+    if n <= setsize:
+        pool = list(population)
+        for last in range(n - 1, n - 1 - k, -1):
+            j = _below(rng, last + 1)
+            out.append(pool[j])
+            pool[j] = pool[last]  # the last unpicked item fills the vacancy
+        return out
+    picked: set[int] = set()
+    for _ in range(k):
+        j = _below(rng, n)
+        while j in picked:
+            j = _below(rng, n)
+        picked.add(j)
+        out.append(population[j])
+    return out
+
+
 def _num_ops(alpha: float, length: int) -> int:
     # round half up so ties resolve identically everywhere
     return max(1, math.floor(alpha * length + 0.5))
@@ -85,7 +114,7 @@ def synonym_replacement(
 
 def _replace(seq: list[str], eligible: list, n: int, rng: random.Random) -> list[str]:
     out = list(seq)
-    for i, syns in rng.sample(eligible, min(n, len(eligible))):
+    for i, syns in _sample(rng, eligible, min(n, len(eligible))):
         out[i] = syns[_below(rng, len(syns))]
     return out
 
@@ -115,11 +144,27 @@ def _insert(seq: list[str], eligible: list, n: int, rng: random.Random) -> list[
 def random_swap(seq: list[str], alpha: float, rng: random.Random) -> list[str]:
     """Swap two uniformly chosen distinct positions, n times."""
     _require_nonempty(seq)
-    if len(seq) < 2:
-        return list(seq)
+    return _swap(seq, _num_ops(alpha, len(seq)), rng)
+
+
+def _swap(seq: list[str], n: int, rng: random.Random) -> list[str]:
+    # each pair is `rng.sample(range(m), 2)`: its pool branch for m <= 21,
+    # where a second pick equal to the first takes the vacated m - 1, and
+    # its reselection branch above
     out = list(seq)
-    for _ in range(_num_ops(alpha, len(seq))):
-        i, j = rng.sample(range(len(out)), 2)
+    m = len(out)
+    if m < 2:
+        return out
+    for _ in range(n):
+        i = _below(rng, m)
+        if m <= 21:
+            j = _below(rng, m - 1)
+            if j == i:
+                j = m - 1
+        else:
+            j = _below(rng, m)
+            while j == i:
+                j = _below(rng, m)
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -149,7 +194,7 @@ def eda_copies(
     and `cumulative_mix(policy)`. Each copy picks one suboperation with one
     rng draw, the draw `random.choices` makes, and applies it with its
     magnitude (alpha_sr .. alpha_rd)."""
-    n_sr, n_ri = _num_ops(policy.alpha_sr, len(seq)), _num_ops(policy.alpha_ri, len(seq))
+    n_sr, n_ri, n_rs = (_num_ops(a, len(seq)) for a in (policy.alpha_sr, policy.alpha_ri, policy.alpha_rs))
     copies = []
     for _ in range(k):
         # choices' own pick; hi = 3 keeps a product rounded up to cum[-1] on the last op
@@ -159,7 +204,7 @@ def eda_copies(
         elif kind == 1:
             copies.append(_insert(seq, eligible, n_ri, rng))
         elif kind == 2:
-            copies.append(random_swap(seq, policy.alpha_rs, rng))
+            copies.append(_swap(seq, n_rs, rng))
         else:
             copies.append(random_deletion(seq, policy.alpha_rd, rng))
     return copies

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .augment import _below, _sample
 from .errors import DataError, DomainError
 
 __all__ = [
@@ -106,6 +107,11 @@ def _read_rows(path: Path, fmt: str) -> list[tuple[str, str, str]]:
                 text, label = obj["text"], obj["label"]
                 if not isinstance(text, str):
                     raise DataError(f"{path.name} line {lineno}: text {text!r} is not a string")
+                try:  # a JSON "\ud800" escape decodes to a lone surrogate, which UTF-8 cannot hold
+                    text.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    msg = f"{path.name} line {lineno}: text has a lone surrogate at index {e.start}"
+                    raise DataError(msg) from None
                 if isinstance(label, bool) or not isinstance(label, (str, int)):
                     raise DataError(f"{path.name} line {lineno}: label {label!r} is not a string or an integer")
                 rows.append((text, str(label), str(obj.get("split", "train"))))
@@ -262,19 +268,24 @@ def make_synthetic_reviews(seed: int = 7) -> LabeledDataset:
 
     Sentiment words come from synonym families present in the bundled
     lexicon, so synonym-based augmentation can surface words a small
-    subsample never saw.
+    subsample never saw. Words are picked with `augment._below` and the
+    two nouns with `augment._sample`, which draw what `rng.choice` and
+    `rng.sample` would, so a seed gives the same dataset as with those.
     """
     rng = random.Random(seed)
+
+    def pick(seq):
+        return seq[_below(rng, len(seq))]
 
     def sentence(label: int) -> str:
         families = _POS_FAMILIES if label == 1 else _NEG_FAMILIES
         other = _NEG_FAMILIES if label == 1 else _POS_FAMILIES
-        adj = rng.choice(rng.choice(families))
-        adj2 = rng.choice(rng.choice(families))
+        adj = pick(pick(families))
+        adj2 = pick(pick(families))
         if rng.random() < _NOISE:
-            adj2 = rng.choice(rng.choice(other))
-        noun, noun2 = rng.sample(_NOUNS, 2)
-        template = rng.choice(_TEMPLATES)
+            adj2 = pick(pick(other))
+        noun, noun2 = _sample(rng, _NOUNS, 2)
+        template = pick(_TEMPLATES)
         return template.format(noun=noun, noun2=noun2, adj=adj, adj2=adj2)
 
     def build(n: int) -> list[Example]:

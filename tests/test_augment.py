@@ -1,15 +1,21 @@
+import ast
+import inspect
 import io
 import math
 import random
+import textwrap
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from softaug import augment
 from softaug.augment import (
     PUNCTUATION_MARKS,
     _below,
+    _sample,
     aeda,
     eda,
     random_deletion,
@@ -17,6 +23,7 @@ from softaug.augment import (
     random_swap,
     synonym_replacement,
 )
+from softaug.datasets import make_synthetic_reviews
 from softaug.errors import DomainError
 from softaug.labels import smooth_label
 from softaug.policy import AugmentationPolicy, PolicySpace, apply_policy, sample_policy
@@ -354,6 +361,11 @@ ref_words = st.sampled_from(
 ref_splits = st.lists(st.tuples(st.lists(ref_words, max_size=9).map(" ".join), st.integers(0, 2)),
                       min_size=1, max_size=6)
 policies = st.integers(0, 2**32).map(lambda s: sample_policy(PolicySpace(), random.Random(s)))
+# up to 40 tokens, weighted toward 21 and 22: past 21 tokens random_swap
+# redraws a pair's second pick, and SR picks more than 5 positions
+long_sentences = st.one_of(st.sampled_from([21, 22]), st.integers(1, 40)).flatmap(
+    lambda n: st.lists(ref_words, min_size=n, max_size=n)
+)
 
 
 class TestPreparedMatchesPerCopyReference:
@@ -368,7 +380,7 @@ class TestPreparedMatchesPerCopyReference:
         ]
         assert rng.getstate() == ref_rng.getstate()
 
-    @given(st.lists(ref_words, min_size=1, max_size=12), st.floats(0, 0.5), st.integers(0, 2**32))
+    @given(long_sentences, st.floats(0, 0.5), st.integers(0, 2**32))
     def test_suboperations_and_aeda(self, seq, alpha, seed):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert synonym_replacement(seq, alpha, REF_LEX, rng) == ref_sr(seq, alpha, REF_LEX, ref_rng)
@@ -392,7 +404,7 @@ class TestPreparedMatchesPerCopyReference:
             kept.update(out)
         assert kept == set(seq)
 
-    @given(st.lists(ref_words, min_size=1, max_size=12), policies, st.integers(0, 2**32))
+    @given(long_sentences, policies, st.integers(0, 2**32))
     def test_eda(self, seq, policy, seed):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert [eda(seq, policy, REF_LEX, rng) for _ in range(4)] == [
@@ -412,6 +424,40 @@ class TestBelow:
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert [_below(rng, n) for _ in range(3)] == [ref_rng.randrange(n) for _ in range(3)]
         assert rng.getstate() == ref_rng.getstate()
+
+
+@st.composite
+def sample_sizes(draw):
+    """(n, k) weighted toward the branch edges of random.Random.sample: its
+    pool holds n <= 21 items for k <= 5 and n <= 85 for 6 <= k <= 21."""
+    n = draw(st.one_of(st.sampled_from([21, 22, 85, 86]), st.integers(0, 90)))
+    return n, min(n, draw(st.one_of(st.sampled_from([5, 6]), st.integers(0, n))))
+
+
+class TestSample:
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32), sample_sizes(), st.sampled_from([range, lambda n: [f"w{i}" for i in range(n)]]))
+    def test_matches_sample(self, seed, sizes, population):
+        n, k = sizes
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert _sample(rng, population(n), k) == ref_rng.sample(population(n), k)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+class TestDrawSources:
+    # _below and _sample give what the stdlib samplers would, so equal
+    # outputs cannot show an rng.sample, choice, randrange or randint call
+    # coming back; the source can
+    @pytest.mark.parametrize("source", [
+        Path(augment.__file__).read_text("utf-8"), inspect.getsource(make_synthetic_reviews),
+    ], ids=["augment", "make_synthetic_reviews"])
+    def test_only_random_and_getrandbits(self, source):
+        called = {
+            node.func.attr for node in ast.walk(ast.parse(textwrap.dedent(source)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "rng"
+        }
+        assert called <= {"random", "getrandbits"}, called
 
 
 class TestEligible:

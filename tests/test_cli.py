@@ -271,6 +271,20 @@ class TestTrainEvalCommands:
         acc = float(capsys.readouterr().out.strip())
         assert 0.0 <= acc <= 1.0
 
+    def test_lone_surrogate_text_is_data_error(self, dataset, policy_file, tmp_path, capsys):
+        # a JSON "\ud800" escape loads as a lone surrogate, which the indexer cannot encode to UTF-8
+        lines = dataset.read_text().splitlines(keepends=True)
+        lines[3] = json.dumps({"text": "bad \ud800 film", "label": json.loads(lines[3])["label"]}) + "\n"
+        dataset.write_text("".join(lines))
+        model = tmp_path / "model.bin"
+        assert main([
+            "train", "--input", str(dataset), "--policy", str(policy_file),
+            "--seed", "0", "--output", str(model),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data.jsonl line 4: text has a lone surrogate at index 4" in err
+        assert "Traceback" not in err and not model.exists()
+
     # sha256 of the checkpoint's weights, scattered into N_BUCKETS columns,
     # and bias, then the train and eval stdout, for seed 0 on this dataset
     # (the holdout comes from make_val_split)

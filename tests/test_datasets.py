@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import Counter
@@ -109,6 +110,13 @@ class TestLoadDataset:
         path = tmp_path / "d.jsonl"
         path.write_text('{"text": "a", "label": "x"}\n' + row + "\n")
         with pytest.raises(DataError, match=re.escape(f"d.jsonl line 2: {message}")):
+            load_dataset(path)
+
+    def test_jsonl_lone_surrogate_names_line(self, tmp_path):
+        # json.loads accepts the escape, but the text cannot be encoded to UTF-8
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "a", "label": "x"}\n{"text": "bad \\ud800 film", "label": "x"}\n')
+        with pytest.raises(DataError, match=re.escape("d.jsonl line 2: text has a lone surrogate at index 4")):
             load_dataset(path)
 
     def test_jsonl_integer_labels(self, tmp_path):
@@ -248,3 +256,16 @@ class TestSyntheticReviews:
         a = make_synthetic_reviews(seed=3)
         b = make_synthetic_reviews(seed=3)
         assert a.splits == b.splits
+
+    # sha256 of json.dumps([train, test]), recorded when the sentences were
+    # drawn with rng.choice and rng.sample
+    GOLDEN = {
+        7: "979ac4801c9ee633df3cdf14b56bad3eb2a28358a1d74ff9aa53d959eec1df42",
+        3: "b6c0b17c407573d5ece977d22f1822edd0c5f39561c6e87edb76cebf38e8ffc9",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden(self, seed):
+        ds = make_synthetic_reviews(seed)
+        digest = hashlib.sha256(json.dumps([ds.split("train"), ds.split("test")]).encode()).hexdigest()
+        assert digest == self.GOLDEN[seed]
