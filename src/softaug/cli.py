@@ -15,21 +15,15 @@ from .classifier import evaluate, load_model, save_model, train
 from .datasets import load_dataset, make_val_split
 from .errors import DataError, DomainError, TrainingError
 from .harness import (
-    ExperimentConfig, _atomic_write, load_experiment_lexicon, render_report, run_experiment, seed_splits,
+    ExperimentConfig, _atomic_write, load_experiment_lexicon, render_report, run_experiment, search_policy,
+    seed_splits,
 )
 from .policy import AugmentationPolicy, apply_policy
-from .search import SearchConfig, optimize
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+from .search import SearchConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="softaug", description=__doc__)
+    parser = argparse.ArgumentParser(prog="softaug", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -61,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="print test accuracy of a checkpoint")
     p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["csv", "tsv", "jsonl"], default=None)
+    add_common(p)
 
     p = sub.add_parser("compare", help="full multi-seed experiment from a config")
     p.add_argument("--config", required=True, help="experiment config JSON")
@@ -74,7 +67,7 @@ def _read_json(path, what: str, parse):
     opened, is not UTF-8 or not JSON, or lacks a key or holds a value of
     the wrong type raises DataError naming it."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return parse(json.load(f))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
         raise DataError(f"cannot read {what} {path}: {e}")
@@ -98,6 +91,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    """search_policy on the seed's splits, writing trials.jsonl and best_policy.json."""
     cfg = ExperimentConfig(
         n_train=args.n_train,
         search=SearchConfig(n_trials=args.trials, n_startup=min(5, max(1, args.trials - 1))),
@@ -107,15 +101,8 @@ def _cmd_search(args) -> int:
     tr, val = seed_splits(data, cfg, args.seed)
     # every input is read before the output directory is touched
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trials.jsonl", "w", encoding="utf-8") as log:
-        best, history = optimize(
-            tr, val, data.n_class, cfg.space, lex, cfg.search, cfg.train, args.seed, log,
-            smoothing=not args.no_label_smoothing,
-        )
-    _atomic_write(out / "best_policy.json", best.to_json() + "\n")
-    best_score = max(r.score for r in history)
-    print(f"best policy (val accuracy {best_score:.4f}) -> {out / 'best_policy.json'}")
+    _, history = search_policy(tr, val, data.n_class, lex, cfg, args.seed, not args.no_label_smoothing, out)
+    print(f"best policy (val accuracy {max(r.score for r in history):.4f}) -> {out / 'best_policy.json'}")
     return 0
 
 

@@ -92,7 +92,7 @@ def _read_rows(path: Path, fmt: str) -> list[tuple[str, str, str]]:
     """The (text, label string, split) rows of a dataset file."""
     rows = []
     if fmt == "jsonl":
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
@@ -117,7 +117,7 @@ def _read_rows(path: Path, fmt: str) -> list[tuple[str, str, str]]:
                 rows.append((text, str(label), str(obj.get("split", "train"))))
     else:
         delim = "," if fmt == "csv" else "\t"
-        with open(path, encoding="utf-8", newline="") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             reader = csv.DictReader(f, delimiter=delim)
             if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
                 raise DataError(f"{path.name}: header must include text,label")
@@ -132,7 +132,7 @@ def _read_label_names(sidecar: Path) -> list[str]:
     """The label names of a `.labels.json` sidecar: a JSON list of distinct
     strings, in class-index order."""
     try:
-        names = json.loads(sidecar.read_text("utf-8"))
+        names = json.loads(sidecar.read_text("utf-8-sig"))
     except json.JSONDecodeError as e:
         raise DataError(f"{sidecar.name}: invalid JSON ({e.msg})")
     except UnicodeDecodeError as e:
@@ -187,7 +187,7 @@ def _stratified_split(
     rng = random.Random(seed)
     chosen: set[int] = set()
     for c in sorted(by_class):  # an absent class draws nothing
-        chosen.update(rng.sample(by_class[c], quotas[c]))
+        chosen.update(_sample(rng, by_class[c], quotas[c]))
     picked = [ex for i, ex in enumerate(examples) if i in chosen]
     rest = [ex for i, ex in enumerate(examples) if i not in chosen]
     return picked, rest

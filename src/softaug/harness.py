@@ -34,6 +34,7 @@ __all__ = [
     "EvalReport",
     "ReportCell",
     "run_method",
+    "search_policy",
     "seed_splits",
     "run_experiment",
     "load_experiment_lexicon",
@@ -190,29 +191,39 @@ def run_method(
     artifacts_dir: Path | None = None,
 ) -> tuple[list[AugmentedExample], random.Random]:
     """One (method, seed) cell's training set: the train split augmented
-    with the method's policy (searched for ours/ours_no_ls, fixed
-    otherwise), and the random.Random that then shuffles its training."""
+    with the method's policy (fixed, or for ours/ours_no_ls searched by
+    search_policy, which writes its files into `artifacts_dir` under the
+    suffix `_<method>_seed<seed>`), and the random.Random that then
+    shuffles its training."""
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
     rng = random.Random(seed)
 
     if method in ("ours", "ours_no_ls"):
-        log_path = artifacts_dir / f"trials_{method}_seed{seed}.jsonl" if artifacts_dir else None
-        with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log:
-            policy, _ = optimize(
-                train_split, val_split, n_class, cfg.space, lex, cfg.search, cfg.train,
-                rng.randrange(_SEED_RANGE), log, smoothing=(method == "ours"),
-            )
-        if artifacts_dir:
-            _atomic_write(
-                artifacts_dir / f"best_policy_{method}_seed{seed}.json",
-                policy.to_json() + "\n",
-            )
+        policy, _ = search_policy(train_split, val_split, n_class, lex, cfg, rng.randrange(_SEED_RANGE),
+                                  method == "ours", artifacts_dir, f"_{method}_seed{seed}")
     else:
         policy = _fixed_policy(method, cfg.fixed)
 
     op = "aeda" if method == "aeda" else "eda"
     return apply_policy(train_split, n_class, policy, lex, rng, op=op), rng
+
+
+def search_policy(train_split, val_split, n_class: int, lex: SynonymLexicon, cfg: ExperimentConfig,
+                  seed: int, smoothing: bool, out_dir: Path | None = None, suffix: str = ""):
+    """search.optimize's (best policy, trial records) over cfg's space and
+    settings. With `out_dir`, it removes `best_policy<suffix>.json`, streams
+    `trials<suffix>.jsonl`, then writes the best policy atomically: a search
+    that stops leaves its partial log and no policy from an earlier run."""
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / f"best_policy{suffix}.json").unlink(missing_ok=True)
+    with open(out_dir / f"trials{suffix}.jsonl", "w", encoding="utf-8") if out_dir else nullcontext() as log:
+        best, history = optimize(train_split, val_split, n_class, cfg.space, lex, cfg.search, cfg.train,
+                                 seed, log, smoothing=smoothing)
+    if out_dir:
+        _atomic_write(out_dir / f"best_policy{suffix}.json", best.to_json() + "\n")
+    return best, history
 
 
 def _load_experiment_dataset(cfg: ExperimentConfig) -> LabeledDataset:
@@ -242,9 +253,10 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     each model on the test split. A cell whose set building or training raises
     a SoftAugError is recorded and excluded rather than aborting the sweep
     (any other error propagates); with an output directory, its traceback
-    goes to failure_<method>_seed<seed>.txt; the run first removes that
-    file for every (method, seed) it runs. A dataset with fewer than two
-    classes raises DataError before any cell runs."""
+    goes to failure_<method>_seed<seed>.txt. The run first removes that file
+    for every (method, seed) it runs, report.json and report.txt, and no
+    other file. A dataset with fewer than two classes raises DataError
+    before any cell runs."""
     data = _load_experiment_dataset(cfg)
     if data.n_class < 2:
         raise DataError(f"dataset {data.name!r} has {data.n_class} class; a comparison needs at least 2")
@@ -255,7 +267,8 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name in [f"failure_{m}_seed{s}.txt" for m in cfg.methods for s in cfg.seeds]:
+        owned = [f"failure_{m}_seed{s}.txt" for m in cfg.methods for s in cfg.seeds]
+        for name in ["report.json", "report.txt", *owned]:
             (out_dir / name).unlink(missing_ok=True)
 
     scores: dict[str, list[float]] = {m: [] for m in cfg.methods}

@@ -82,10 +82,10 @@ def load_lexicon(source) -> SynonymLexicon:
         with open(source, "rb") as f:
             return load_lexicon(f)
     if isinstance(source, io.TextIOBase):
-        lines = source.read().splitlines()
+        lines = source.read().removeprefix("\ufeff").splitlines()
     else:
         try:
-            lines = source.read().decode("utf-8").splitlines()
+            lines = source.read().decode("utf-8-sig").splitlines()
         except UnicodeDecodeError as e:
             name = getattr(source, "name", "stream")
             raise DataError(f"lexicon {name}: not UTF-8 text ({e})") from None

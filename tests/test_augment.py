@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from softaug import augment
+from softaug import augment, datasets
 from softaug.augment import (
     PUNCTUATION_MARKS,
     _below,
@@ -450,7 +450,8 @@ class TestDrawSources:
     # coming back; the source can
     @pytest.mark.parametrize("source", [
         Path(augment.__file__).read_text("utf-8"), inspect.getsource(make_synthetic_reviews),
-    ], ids=["augment", "make_synthetic_reviews"])
+        inspect.getsource(datasets._stratified_split),
+    ], ids=["augment", "make_synthetic_reviews", "_stratified_split"])
     def test_only_random_and_getrandbits(self, source):
         called = {
             node.func.attr for node in ast.walk(ast.parse(textwrap.dedent(source)))

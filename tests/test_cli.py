@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from softaug import cli
+from softaug import cli, search
 from softaug.classifier import N_BUCKETS, load_model, save_model
 from softaug.cli import main
 from softaug.errors import TrainingError
@@ -77,6 +78,15 @@ class TestAugmentCommand:
     def test_output_golden(self, dataset, policy_file, tmp_path, capsys):
         out = tmp_path / "aug.jsonl"
         argv = ["augment", "--input", str(dataset), "--policy", str(policy_file), "--seed", "3"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.OUTPUT_GOLDEN
+
+    def test_byte_order_mark_in_policy_file(self, dataset, tmp_path, capsys):
+        # a policy file saved with a UTF-8 BOM gives the same output as one without
+        policy = tmp_path / "bom_policy.json"
+        policy.write_bytes(b"\xef\xbb\xbf" + POLICY.to_json().encode("utf-8"))
+        out = tmp_path / "aug.jsonl"
+        argv = ["augment", "--input", str(dataset), "--policy", str(policy), "--seed", "3"]
         assert main(argv + ["--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.OUTPUT_GOLDEN
 
@@ -184,6 +194,77 @@ class TestExitCodes:
             main(["eval", "--model", "m.npz", "--input", "d.csv"])
 
 
+def _choices(*names):
+    # older CPython releases list an invalid choice's options with repr(),
+    # newer ones with str(): ask the running argparse which
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("--x", choices=names)
+    with pytest.raises(argparse.ArgumentError) as e:
+        probe.parse_args(["--x", "?"])
+    return str(e.value).split("(choose from ")[1][:-1]
+
+
+_SEARCH_USAGE = (
+    "usage: softaug search [-h] --input INPUT [--format {csv,tsv,jsonl}] [--lexicon LEXICON] --n-train N_TRAIN "
+    "--trials TRIALS --seed SEED [--no-label-smoothing] --output OUTPUT\n"
+)
+_HELP = """\
+usage: softaug [-h] {augment,search,train,eval,compare} ...
+
+Command-line entry points. Exit codes: 0 success, 1 usage error, 2 data/ingestion error, 3 training error.
+
+positional arguments:
+  {augment,search,train,eval,compare}
+    augment             apply a policy file, write augmented JSONL
+    search              optimize the augmentation policy
+    train               one training run with a policy
+    eval                print test accuracy of a checkpoint
+    compare             full multi-seed experiment from a config
+
+options:
+  -h, --help            show this help message and exit
+"""
+_TRAIN_HELP = """\
+usage: softaug train [-h] --input INPUT [--format {csv,tsv,jsonl}] [--lexicon LEXICON] --policy POLICY --seed SEED --output OUTPUT
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         dataset file (csv/tsv/jsonl)
+  --format {csv,tsv,jsonl}
+  --lexicon LEXICON
+  --policy POLICY
+  --seed SEED
+  --output OUTPUT       model checkpoint path
+"""
+_SEARCH_ARGV = ["search", "--input", "d.jsonl", "--n-train", "40", "--trials", "3", "--output", "o"]
+
+
+class TestUsage:
+    # the exact exit code, stdout and stderr of each usage error and help page
+    @pytest.mark.parametrize("argv, code, stdout, stderr", [
+        ([], 1, "", "usage: softaug [-h] {augment,search,train,eval,compare} ...\n"
+         "softaug: error: the following arguments are required: command\n"),
+        (["frobnicate"], 1, "", "usage: softaug [-h] {augment,search,train,eval,compare} ...\n"
+         "softaug: error: argument command: invalid choice: 'frobnicate' (choose from "
+         f"{_choices('augment', 'search', 'train', 'eval', 'compare')})\n"),
+        (["search", "--input", "x"], 1, "", _SEARCH_USAGE + "softaug search: error: the following "
+         "arguments are required: --n-train, --trials, --seed, --output\n"),
+        ([*_SEARCH_ARGV, "--seed", "x"], 1, "", _SEARCH_USAGE
+         + "softaug search: error: argument --seed: invalid int value: 'x'\n"),
+        ([*_SEARCH_ARGV, "--seed", "0", "--format", "xml"], 1, "", _SEARCH_USAGE
+         + "softaug search: error: argument --format: invalid choice: 'xml' "
+         f"(choose from {_choices('csv', 'tsv', 'jsonl')})\n"),
+        (["--help"], 0, _HELP, ""),
+        (["train", "--help"], 0, _TRAIN_HELP, ""),
+    ], ids=["no-command", "unknown-command", "missing-options", "seed-not-int", "format-xml", "help", "train-help"])
+    def test_output(self, argv, code, stdout, stderr, monkeypatch, capsys):
+        # wide enough that no line wraps: CPython 3.13 wraps usage lines
+        # differently from 3.11 and 3.12
+        monkeypatch.setenv("COLUMNS", "200")
+        assert main(argv) == code
+        assert capsys.readouterr() == (stdout, stderr)
+
+
 class TestSearchCommand:
     def test_writes_best_policy_and_trials(self, dataset, tmp_path):
         out = tmp_path / "searchout"
@@ -234,7 +315,9 @@ class TestSearchCommand:
         )
         assert digests == self.GOLDEN[flags]
 
-    def test_interrupted_write_keeps_the_old_best_policy(self, dataset, tmp_path, monkeypatch, capsys):
+    def test_interrupted_write_leaves_the_log_and_no_policy(self, dataset, tmp_path, monkeypatch, capsys):
+        # the earlier best_policy.json goes before the search starts, so a
+        # failed final write cannot leave it beside the new log
         out = tmp_path / "searchout"
         out.mkdir()
         (out / "best_policy.json").write_text("OLD CONTENT\n")
@@ -245,9 +328,30 @@ class TestSearchCommand:
         ])
         assert code == 2
         assert "No space left" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["best_policy.json", "trials.jsonl"]
-        assert (out / "best_policy.json").read_bytes() == b"OLD CONTENT\n"
+        assert sorted(p.name for p in out.iterdir()) == ["trials.jsonl"]  # no best_policy.json, no .tmp
         assert len((out / "trials.jsonl").read_text().splitlines()) == 2  # the streamed log is whole
+
+    def test_stopped_search_leaves_its_log_and_no_earlier_policy(self, dataset, tmp_path, monkeypatch, capsys):
+        def objective_failing_trial_2(*args):
+            if next(calls) == 1:
+                raise TrainingError("non-finite training loss at epoch 1")
+            return real_objective(*args)
+
+        calls, real_objective = itertools.count(), search.objective
+        monkeypatch.setattr(search, "objective", objective_failing_trial_2)
+        out = tmp_path / "searchout"
+        out.mkdir()
+        (out / "best_policy.json").write_text("OLD CONTENT\n")
+        (out / "best_policy_ours_seed9.json").write_text("NOT THIS RUN'S\n")
+        code = main([
+            "search", "--input", str(dataset), "--n-train", "40", "--trials", "3",
+            "--seed", "0", "--output", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == "error: non-finite training loss at epoch 1\n"
+        assert sorted(p.name for p in out.iterdir()) == ["best_policy_ours_seed9.json", "trials.jsonl"]
+        assert len((out / "trials.jsonl").read_text().splitlines()) == 1
+        assert (out / "best_policy_ours_seed9.json").read_text() == "NOT THIS RUN'S\n"
 
     def test_missing_lexicon_writes_nothing(self, dataset, tmp_path, capsys):
         out = tmp_path / "searchout"

@@ -144,6 +144,27 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="d.jsonl.labels.json: not UTF-8"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("name, content", [
+        ("d.csv", "text,label,split\na movie,pos,train\nanother one,neg,test\n"),
+        ("d.tsv", "text\tlabel\na movie\tpos\nanother one\tneg\n"),
+        ("d.jsonl", '{"text": "a", "label": "pos"}\n{"text": "b", "label": "neg", "split": "test"}\n'),
+    ], ids=["csv", "tsv", "jsonl"])
+    def test_byte_order_mark_is_accepted(self, tmp_path, name, content):
+        # a file saved with a UTF-8 BOM loads as the same file without one
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom").mkdir()
+        (tmp_path / "plain" / name).write_bytes(content.encode("utf-8"))
+        (tmp_path / "bom" / name).write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
+        assert load_dataset(tmp_path / "bom" / name) == load_dataset(tmp_path / "plain" / name)
+
+    def test_byte_order_mark_in_label_sidecar_is_accepted(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "a", "label": "pos"}\n{"text": "b", "label": "neg"}\n')
+        (tmp_path / "d.jsonl.labels.json").write_bytes(b"\xef\xbb\xbf" + json.dumps(["neg", "pos"]).encode())
+        ds = load_dataset(path)
+        assert ds.label_names == ["neg", "pos"]
+        assert ds.split("train") == [("a", 1), ("b", 0)]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from softaug import harness
+from softaug import harness, search
 from softaug.classifier import TrainConfig, evaluate, train_runs
 from softaug.datasets import LabeledDataset, make_synthetic_reviews
 from softaug.errors import DomainError, TrainingError
@@ -241,6 +242,64 @@ class TestRunExperiment:
         assert [f.name for f in out.glob("failure_*")] == ["failure_eda_seed1.txt"]
         expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         assert (out / "report.json").read_text() == expected
+
+    def test_stopped_search_rerun_leaves_no_earlier_policy(self, tmp_path, monkeypatch):
+        # a complete run, then a rerun whose ours search stops on its second
+        # trial: the cell fails, and its earlier best policy does not outlive
+        # the new partial log
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(
+            dataset_path=str(tiny_dataset_file(tmp_path)),
+            methods=("baseline", "ours"),
+            seeds=(0,),
+            n_train=20,
+            train=TrainConfig(max_epochs=2, patience=2),
+            search=SearchConfig(n_trials=3, n_startup=2, runs_per_trial=1),
+            output_dir=str(out),
+        )
+        assert not run_experiment(cfg).incomplete
+        assert (out / "best_policy_ours_seed0.json").exists()
+        (out / "best_policy_ours_seed9.json").write_text("not this config's\n")
+
+        def objective_failing_trial_2(*args):
+            if next(calls) == 1:
+                raise TrainingError("forced failure")
+            return real_objective(*args)
+
+        calls, real_objective = itertools.count(), search.objective
+        monkeypatch.setattr(search, "objective", objective_failing_trial_2)
+        report = run_experiment(cfg)
+        assert [c.failed_seeds for c in report.cells] == [(), (0,)]
+        assert sorted(f.name for f in out.iterdir()) == [
+            "best_policy_ours_seed9.json", "failure_ours_seed0.txt", "report.json", "report.txt",
+            "trials_ours_seed0.jsonl",
+        ]
+        assert len((out / "trials_ours_seed0.jsonl").read_text().splitlines()) == 1
+        assert (out / "best_policy_ours_seed9.json").read_text() == "not this config's\n"
+
+    def test_aborted_rerun_leaves_no_earlier_report(self, tmp_path, monkeypatch):
+        # an error that is not a SoftAugError aborts the run after the
+        # cleanup: no report of the earlier run is left to read as this one's
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(
+            dataset_path=str(tiny_dataset_file(tmp_path)),
+            methods=("baseline",),
+            seeds=(0,),
+            n_train=20,
+            train=TrainConfig(max_epochs=2, patience=2),
+            output_dir=str(out),
+        )
+        run_experiment(cfg)
+        assert (out / "report.json").exists() and (out / "report.txt").exists()
+        (out / "best_policy_ours_seed9.json").write_text("not this config's\n")
+
+        def train_runs_with_a_bug(*args):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(harness, "train_runs", train_runs_with_a_bug)
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_experiment(cfg)
+        assert [f.name for f in out.iterdir()] == ["best_policy_ours_seed9.json"]
 
     # sha256 of (report.json, report.txt) with eda failing on seed 0 and
     # softeda_fixed on every seed: pins a partly failed cell, a "failed"

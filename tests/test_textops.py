@@ -83,6 +83,19 @@ class TestLoadLexicon:
             load_lexicon(path)
 
 
+    @pytest.mark.parametrize("form", ["bytes", "path", "text"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, form):
+        # a file saved with a UTF-8 BOM loads as the same file without one;
+        # kept, the mark would hide the first headword's synonyms
+        text = "good\tfine,nice\nbad\tpoor\n"
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        source = {"bytes": io.BytesIO(path.read_bytes()), "path": path, "text": io.StringIO("\ufeff" + text)}
+        lex = load_lexicon(source[form])
+        assert lex.synonyms("good") == ["fine", "nice"]
+        assert lex._entries == lex_from(text)._entries
+
+
 # a word the lexicon format stores unchanged: non-empty, lowercase, no
 # whitespace (so no line break), no comma, not starting a comment
 lexicon_words = st.text(
