@@ -26,11 +26,13 @@ column. A run's model holds only the columns in which its best snapshot
 has a set bit.
 Training, validation, evaluate and predict share one indexer (_index: rows
 keyed by bucket, so a row depends only on its text; training renumbers
-buckets to dense columns, and evaluate and predict map them onto the
-model's, where a bucket the model does not hold reads +0.0) and one
+buckets to dense columns, evaluate drops as it hashes each key in a bucket
+the model does not hold, which would add +0.0, and predict finds a text's
+buckets in the model's by binary search, a miss reading +0.0) and one
 scoring routine (_logits: the bias plus the first term, then each further
 term in first-occurrence order). The indexer takes each distinct text
-once, joins the tokens into one UTF-8 buffer and hashes each occurrence in
+once, joins the tokens into one UTF-8 buffer (an all-ASCII batch: the texts,
+lowered as one string and split in numpy) and hashes each occurrence in
 numpy over its span, one step per byte position; a bigram a_b continues
 a's 64-bit state over "_" and b's span, so no bigram string is built.
 featurize(text) is the indexer's row for one text, so it is by
@@ -43,6 +45,7 @@ from __future__ import annotations
 import os
 import random
 import zipfile
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,6 +73,7 @@ N_BUCKETS = 1 << 18
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_ASCII_SPACE = np.array([chr(b).isspace() for b in range(128)])  # where str.split splits ASCII
 
 
 @dataclass
@@ -127,21 +131,30 @@ def _fnv1a64_spans(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, lengths: 
     return states
 
 
-def _key_codes(texts: list[str]) -> np.ndarray:
+def _key_codes(texts: list[str], keep: Callable | None = None) -> np.ndarray:
     """text * N_BUCKETS + bucket of every key of the texts, text by text.
     A text's keys are its lowercased whitespace tokens, then each adjacent
     pair a, b as the bigram a_b; a key's bucket is its UTF-8 bytes' FNV-1a
-    64 masked to N_BUCKETS. The tokens are joined into one UTF-8 buffer, and
+    64 masked to N_BUCKETS. The tokens are joined into one UTF-8 buffer (or,
+    when every text is ASCII, the texts are, and split there in numpy), and
     each token and bigram occurrence is hashed over its span of it, a bigram
-    a_b continuing a's 64-bit state over b"_" and b."""
-    tokens = [text.lower().split() for text in texts]
-    text_of = np.repeat(np.arange(len(texts)), np.fromiter(map(len, tokens), np.intp, len(texts)))
-    # a token holds no whitespace, and UTF-8 puts no 0x20 inside a multi-byte
-    # sequence: the tokens are the non-empty runs between the spaces
-    buf = np.frombuffer(f" {' '.join(map(' '.join, tokens))} ".encode("utf-8"), np.uint8)
-    cuts = np.flatnonzero(buf == ord(" "))
-    gaps = np.diff(cuts) - 1
-    starts, lengths = cuts[:-1][gaps > 0] + 1, gaps[gaps > 0]
+    a_b continuing a's 64-bit state over b"_" and b; `keep` filters as in _index."""
+    joined = " ".join(texts)
+    if joined.isascii():
+        # lowering moves no ASCII byte, so each text keeps its span of the
+        # joined buffer, and its tokens are the runs between _ASCII_SPACE bytes
+        buf = np.frombuffer(f" {joined.lower()} ".encode(), np.uint8)
+        edge = np.flatnonzero(np.diff(_ASCII_SPACE[buf]))  # the byte before each token, and its last
+        ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)) + 1)
+        text_of = np.searchsorted(ends, edge[::2] + 1)
+    else:
+        tokens = [text.lower().split() for text in texts]
+        text_of = np.repeat(np.arange(len(texts)), np.fromiter(map(len, tokens), np.intp, len(texts)))
+        # a token holds no whitespace, and UTF-8 puts no 0x20 inside a multi-byte
+        # sequence: the tokens are the runs between the spaces
+        buf = np.frombuffer(f" {' '.join(map(' '.join, tokens))} ".encode("utf-8"), np.uint8)
+        edge = np.flatnonzero(np.diff(buf == ord(" ")))
+    starts, lengths = edge[::2] + 1, edge[1::2] - edge[::2]
     states = _fnv1a64_spans(np.full(len(starts), _FNV_OFFSET, np.uint64), buf, starts, lengths)
 
     # a bigram starts at each token that the next token's text shares
@@ -152,15 +165,20 @@ def _key_codes(texts: list[str]) -> np.ndarray:
     # a stable sort by text puts each text's unigrams before its bigrams
     rows = np.concatenate([text_of, text_of[first]])
     buckets = (np.concatenate([states, pair_states]) & np.uint64(N_BUCKETS - 1)).astype(np.intp)
+    if keep is not None:
+        kept = np.flatnonzero(keep(buckets))  # an index gathers faster than a mask here
+        rows, buckets = rows[kept], buckets[kept]
     return (rows * N_BUCKETS + buckets)[np.argsort(rows, kind="stable")]
 
 
-def _index(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _index(texts: list[str], keep: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(buckets, counts) rows of each text's key counts, in first-occurrence
-    order and padded with bucket 0 at count 0. A row depends only on its
-    text: each distinct text is indexed once, its row gathered per position."""
+    order and padded with bucket 0 at count 0. With `keep`, the keys whose
+    bucket keep(buckets) marks False are dropped as they are hashed: the rows
+    are the unfiltered ones without them. A row depends only on its text:
+    each distinct text is indexed once, its row gathered when some repeats."""
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    code = _key_codes(list(slot))
+    code = _key_codes(list(slot), keep)
     # a stable sort groups each (text, bucket) with its first position first
     order = np.argsort(code, kind="stable")
     group = np.flatnonzero(np.diff(code[order], prepend=-1))
@@ -174,6 +192,8 @@ def _index(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     counts = np.zeros(ids.shape)
     ids[rows, col] = buckets
     counts[rows, col] = tally[first]
+    if len(slot) == len(texts):  # all distinct: laid out in text order
+        return ids, counts
     inverse = np.fromiter(map(slot.__getitem__, texts), np.intp, len(texts))
     return ids[inverse], counts[inverse]
 
@@ -194,9 +214,10 @@ def _logits(
     further term in the row's order. A row of width 0 gives the bias."""
     if ids.shape[1] == 0:
         return np.broadcast_to(bias, (len(ids), len(weights))).copy()
-    terms = weights.take(ids, axis=1) * counts
+    terms = weights.take(ids, axis=1)
+    terms *= counts
     terms[:, :, 0] += np.atleast_2d(bias).T
-    return terms.cumsum(axis=2)[:, :, -1].T
+    return terms.cumsum(axis=2, out=terms)[:, :, -1].T
 
 
 def _labels(data: list[tuple[str, int]], n_class: int) -> np.ndarray:
@@ -348,38 +369,48 @@ def train(
     return fit
 
 
-def _model_logits(model: LinearModel, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Logits of _index rows under `model`. A per-call position table maps
-    each held bucket to its column and every other bucket to an appended
-    +0.0 column, so a bucket the model does not hold adds +0.0."""
+def _positions(model: LinearModel) -> np.ndarray:
+    """Position table: a held bucket's column; len(model.buckets) for others."""
     held = len(model.buckets)
-    pos = np.full(N_BUCKETS, held, np.int32)
+    pos = np.full(N_BUCKETS, held, np.min_scalar_type(held))  # uint16 below 65,536 held buckets
     pos[model.buckets] = np.arange(held)
-    weights = np.hstack([model.weights, np.zeros((model.n_class, 1))])
-    return _logits(weights, model.bias, pos[ids], counts)
+    return pos
 
 
-def _accuracy(model: LinearModel, ids: np.ndarray, counts: np.ndarray, y: np.ndarray) -> float:
+def _accuracy(model: LinearModel, ids: np.ndarray, counts: np.ndarray, y: np.ndarray, pos=None) -> float:
     """Fraction of _index rows (ids, counts) whose argmax logit is their label
-    in y; argmax ties break toward the lowest class index."""
-    preds = _model_logits(model, ids, counts).argmax(axis=1)
+    in y; argmax ties break toward the lowest class index. The model's
+    _positions table `pos` sends an unheld bucket to an appended +0.0 column."""
+    pos = _positions(model) if pos is None else pos
+    weights = np.hstack([model.weights, np.zeros((model.n_class, 1))])
+    preds = _logits(weights, model.bias, pos[ids], counts).argmax(axis=1)
     return np.count_nonzero(preds == y) / len(y)
 
 
 def predict(model: LinearModel, text: str) -> np.ndarray:
-    """Class probabilities: softmax(weights . featurize(text) + bias)."""
+    """Class probabilities: softmax(weights . featurize(text) + bias). The
+    text's buckets are found in model.buckets by binary search, and a bucket
+    the model does not hold reads +0.0: no table of N_BUCKETS is built."""
     ids, counts = _index([text])
-    return softmax(_model_logits(model, ids, counts)[0])
+    at = np.searchsorted(model.buckets, ids[0])
+    hit = at < len(model.buckets)
+    hit[hit] = model.buckets[at[hit]] == ids[0][hit]
+    weights = np.zeros((model.n_class, ids.shape[1]))
+    weights[:, hit] = model.weights[:, at[hit]]
+    return softmax(_logits(weights, model.bias, np.arange(ids.shape[1])[None], counts)[0])
 
 
 def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
     """Fraction of examples whose argmax prediction matches the label.
     Argmax ties break toward the lowest class index. A label outside
-    [0, model.n_class) raises DomainError."""
+    [0, model.n_class) raises DomainError. A key in a bucket the model does
+    not hold is dropped as it is hashed: its +0.0 could only turn a -0.0
+    logit into +0.0, which neither argmax nor softmax sees."""
     if not data:
         raise DomainError("empty evaluation set")
     y = _labels(data, model.n_class)
-    return _accuracy(model, *_index([text for text, _ in data]), y)
+    pos, held = _positions(model), len(model.buckets)
+    return _accuracy(model, *_index([text for text, _ in data], lambda b: pos[b] < held), y, pos)
 
 
 _CHECKPOINT_VERSION = 2

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 METHODS = ("baseline", "eda", "aeda", "softeda_fixed", "ours", "ours_no_ls")
+_SEARCHED = ("ours", "ours_no_ls")
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def run_method(
         raise DomainError(f"unknown method {method!r}")
     rng = random.Random(seed)
 
-    if method in ("ours", "ours_no_ls"):
+    if method in _SEARCHED:
         policy, _ = search_policy(train_split, val_split, n_class, lex, cfg, rng.randrange(_SEED_RANGE),
                                   method == "ours", artifacts_dir, f"_{method}_seed{seed}")
     else:
@@ -254,9 +255,9 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     a SoftAugError is recorded and excluded rather than aborting the sweep
     (any other error propagates); with an output directory, its traceback
     goes to failure_<method>_seed<seed>.txt. The run first removes that file
-    for every (method, seed) it runs, report.json and report.txt, and no
-    other file. A dataset with fewer than two classes raises DataError
-    before any cell runs."""
+    for every (method, seed) it runs, and for a searched one also its trials
+    and best_policy files, report.json and report.txt, and no other file. A
+    dataset with fewer than two classes raises DataError before any cell runs."""
     data = _load_experiment_dataset(cfg)
     if data.n_class < 2:
         raise DataError(f"dataset {data.name!r} has {data.n_class} class; a comparison needs at least 2")
@@ -268,6 +269,8 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         owned = [f"failure_{m}_seed{s}.txt" for m in cfg.methods for s in cfg.seeds]
+        owned += [f"{stem}_{m}_seed{s}{ext}" for m in cfg.methods if m in _SEARCHED for s in cfg.seeds
+                  for stem, ext in (("trials", ".jsonl"), ("best_policy", ".json"))]
         for name in ["report.json", "report.txt", *owned]:
             (out_dir / name).unlink(missing_ok=True)
 

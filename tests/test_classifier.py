@@ -86,6 +86,7 @@ TOKENS = st.one_of(
 TEXTS = st.one_of(
     st.lists(TOKENS, max_size=8).map(" ".join),
     st.text(max_size=20),
+    st.text(st.characters(max_codepoint=127), max_size=20),  # every ASCII separator
 )
 
 
@@ -154,6 +155,35 @@ class TestIndex:
             ids, counts = classifier._index(texts)
             assert hashlib.sha256(ids.tobytes() + counts.tobytes()).hexdigest() == self.GOLDEN[name]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(TEXTS, min_size=1, max_size=6), kept=st.sets(st.integers(0, 15)),
+        few_buckets=st.booleans(), repeat=st.booleans(),
+    )
+    @example(texts=["a b", "c"], kept=set(), few_buckets=True, repeat=False)
+    @example(texts=["A b", "a b", "b a b"], kept={3, 5, 8, 13}, few_buckets=True, repeat=True)
+    def test_filter_drops_unkept_buckets(self, texts, kept, few_buckets, repeat):
+        # a bucket is kept by its residue mod 16, which with 16 buckets is the
+        # bucket itself; a repeated text takes the gathered path, a batch of
+        # distinct texts the rows as laid out
+        texts = texts + texts[:1] * repeat
+        keep = lambda buckets: np.isin(buckets % 16, sorted(kept))
+        with pytest.MonkeyPatch.context() as mp:
+            if few_buckets:
+                mp.setattr(classifier, "N_BUCKETS", 16)
+            all_ids, all_counts = classifier._index(texts)
+            ids, counts = classifier._index(texts, keep)
+        rows = [
+            [(i, c) for i, c in zip(row_ids, row_counts) if c and i % 16 in kept]
+            for row_ids, row_counts in zip(all_ids.tolist(), all_counts.tolist())
+        ]
+        width = max(map(len, rows))
+        assert ids.shape == counts.shape == (len(texts), width)
+        assert ids.dtype == np.intp and counts.dtype == float
+        for row, pairs in enumerate(rows):
+            padding = [(0, 0.0)] * (width - len(pairs))
+            assert list(zip(ids[row].tolist(), counts[row].tolist())) == pairs + padding
+
     def test_long_token_memory(self):
         # memory grows with the batch's bytes (about 0.5 MiB peak here), not
         # with its keys times its longest token (~2000 x 5000 bytes here)
@@ -178,6 +208,22 @@ class TestPredict:
         model = from_dense(rng.normal(size=(3, N_BUCKETS)), rng.normal(size=3))
         probs = predict(model, "the plot was thin")
         assert abs(probs.sum() - 1.0) <= 1e-9 and (probs >= 0).all()
+
+    def test_memory_peak(self):
+        # the text's buckets are searched in the model's: no table of
+        # N_BUCKETS positions (1 MiB) and no copy of the weights (290 KiB here)
+        rng = np.random.default_rng(0)
+        buckets = np.sort(rng.choice(N_BUCKETS, 9286, replace=False))
+        model = LinearModel(buckets, rng.normal(size=(4, len(buckets))), rng.normal(size=4))
+        text = "the plot was thin but the cast was great"
+        predict(model, text)
+        tracemalloc.start()
+        try:
+            predict(model, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 2**10
 
 
 class TestTrain:
@@ -683,6 +729,46 @@ class TestEvaluate:
             assert evaluate(model, pairs) == recount / len(pairs)
             for z, (t, _) in zip(ref, pairs):
                 assert predict(model, t).tobytes() == softmax(z).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_unfiltered_accuracy(self, data):
+        # evaluate drops the keys in buckets the model does not hold as it
+        # hashes them; the harness scores unfiltered rows with _accuracy. Both
+        # must count the same hits, for a model holding none, some or all of
+        # the 16 buckets, with repeated texts, signed-zero columns and ties
+        n_class = data.draw(st.integers(2, 4))
+        texts = data.draw(st.lists(TEXTS, min_size=1, max_size=8))
+        texts += texts[: data.draw(st.integers(0, len(texts)))]
+        y = data.draw(st.lists(st.integers(0, n_class - 1), min_size=len(texts), max_size=len(texts)))
+        buckets = np.array(sorted(data.draw(st.sets(st.integers(0, 15)))), np.int64)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            draw = lambda size: rng.integers(-2, 3, size=size).astype(float)
+        else:
+            draw = lambda size: rng.normal(scale=3.0, size=size)
+        weights = draw((n_class, len(buckets)))
+        zeros = data.draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=len(buckets)))
+        weights[:, : len(zeros)] = zeros
+        model = LinearModel(buckets, weights, draw(n_class))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifier, "N_BUCKETS", 16)
+            unfiltered = classifier._accuracy(model, *classifier._index(texts), np.array(y))
+            assert evaluate(model, list(zip(texts, y))) == unfiltered
+
+    @pytest.mark.parametrize("held", [[], ["good"]])
+    def test_batch_without_a_held_key(self, held):
+        # no key of the batch is in a bucket the model holds, so every
+        # filtered row has width 0 and the bias decides: class 0
+        buckets = np.array(sorted({b for word in held for b in featurize(word)}), np.int64)
+        model = LinearModel(buckets, np.ones((2, len(buckets))), np.array([0.5, 0.0]))
+        data = [("bad", 0), ("a dull film", 0), ("", 1), ("bad", 0)]
+        texts, y = [text for text, _ in data], np.array([label for _, label in data])
+        pos = classifier._positions(model)
+        assert not set(featurize(" ".join(texts))) & set(buckets.tolist())
+        ids, counts = classifier._index(texts, lambda b: pos[b] < len(buckets))
+        assert ids.shape == counts.shape == (4, 0)
+        assert evaluate(model, data) == 0.75 == classifier._accuracy(model, *classifier._index(texts), y)
 
     def test_unheld_buckets_score_zero(self):
         # a model that holds only "good": "bad" reads +0.0, so the bias decides

@@ -301,6 +301,35 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert [f.name for f in out.iterdir()] == ["best_policy_ours_seed9.json"]
 
+    def test_aborted_rerun_leaves_no_earlier_search_files(self, tmp_path, monkeypatch):
+        # a complete two-seed run, then a rerun that aborts in seed 0's final
+        # training, after seed 0's search: seed 1's search files from the
+        # first run must not be left beside seed 0's new ones
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(
+            dataset_path=str(tiny_dataset_file(tmp_path)),
+            methods=("baseline", "ours"),
+            seeds=(0, 1),
+            n_train=40,
+            train=TrainConfig(max_epochs=2, patience=2),
+            search=SearchConfig(n_trials=2, n_startup=1, runs_per_trial=1),
+            output_dir=str(out),
+        )
+        run_experiment(cfg)
+        assert (out / "best_policy_ours_seed1.json").exists() and (out / "trials_ours_seed1.jsonl").exists()
+        (out / "best_policy_ours_seed9.json").write_text("not this config's\n")
+
+        def train_runs_with_a_bug(*args):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(harness, "train_runs", train_runs_with_a_bug)
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_experiment(cfg)
+        assert sorted(f.name for f in out.iterdir()) == [
+            "best_policy_ours_seed0.json", "best_policy_ours_seed9.json", "trials_ours_seed0.jsonl",
+        ]
+        assert (out / "best_policy_ours_seed9.json").read_text() == "not this config's\n"
+
     # sha256 of (report.json, report.txt) with eda failing on seed 0 and
     # softeda_fixed on every seed: pins a partly failed cell, a "failed"
     # cell with its NaN mean, the WARNING line and the incomplete flag
