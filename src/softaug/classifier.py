@@ -31,8 +31,7 @@ the model does not hold, which would add +0.0, and predict finds a text's
 buckets in the model's by binary search, a miss reading +0.0) and one
 scoring routine (_logits: the bias plus the first term, then each further
 term in first-occurrence order). The indexer takes each distinct text
-once, joins the tokens into one UTF-8 buffer (an all-ASCII batch: the texts,
-lowered as one string and split in numpy) and hashes each occurrence in
+once, joins the tokens into one UTF-8 buffer and hashes each occurrence in
 numpy over its span, one step per byte position; a bigram a_b continues
 a's 64-bit state over "_" and b's span, so no bigram string is built.
 featurize(text) is the indexer's row for one text, so it is by
@@ -45,7 +44,6 @@ from __future__ import annotations
 import os
 import random
 import zipfile
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,7 +71,6 @@ N_BUCKETS = 1 << 18
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_ASCII_SPACE = np.array([chr(b).isspace() for b in range(128)])  # where str.split splits ASCII
 
 
 @dataclass
@@ -131,30 +128,21 @@ def _fnv1a64_spans(h: np.ndarray, buf: np.ndarray, starts: np.ndarray, lengths: 
     return states
 
 
-def _key_codes(texts: list[str], keep: Callable | None = None) -> np.ndarray:
+def _key_codes(texts: list[str], pos: np.ndarray | None = None, held: int = 0) -> np.ndarray:
     """text * N_BUCKETS + bucket of every key of the texts, text by text.
     A text's keys are its lowercased whitespace tokens, then each adjacent
     pair a, b as the bigram a_b; a key's bucket is its UTF-8 bytes' FNV-1a
-    64 masked to N_BUCKETS. The tokens are joined into one UTF-8 buffer (or,
-    when every text is ASCII, the texts are, and split there in numpy), and
+    64 masked to N_BUCKETS. The tokens are joined into one UTF-8 buffer, and
     each token and bigram occurrence is hashed over its span of it, a bigram
-    a_b continuing a's 64-bit state over b"_" and b; `keep` filters as in _index."""
-    joined = " ".join(texts)
-    if joined.isascii():
-        # lowering moves no ASCII byte, so each text keeps its span of the
-        # joined buffer, and its tokens are the runs between _ASCII_SPACE bytes
-        buf = np.frombuffer(f" {joined.lower()} ".encode(), np.uint8)
-        edge = np.flatnonzero(np.diff(_ASCII_SPACE[buf]))  # the byte before each token, and its last
-        ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)) + 1)
-        text_of = np.searchsorted(ends, edge[::2] + 1)
-    else:
-        tokens = [text.lower().split() for text in texts]
-        text_of = np.repeat(np.arange(len(texts)), np.fromiter(map(len, tokens), np.intp, len(texts)))
-        # a token holds no whitespace, and UTF-8 puts no 0x20 inside a multi-byte
-        # sequence: the tokens are the runs between the spaces
-        buf = np.frombuffer(f" {' '.join(map(' '.join, tokens))} ".encode("utf-8"), np.uint8)
-        edge = np.flatnonzero(np.diff(buf == ord(" ")))
-    starts, lengths = edge[::2] + 1, edge[1::2] - edge[::2]
+    a_b continuing a's 64-bit state over b"_" and b; `pos` filters as in _index."""
+    tokens = [text.lower().split() for text in texts]
+    text_of = np.repeat(np.arange(len(texts)), np.fromiter(map(len, tokens), np.intp, len(texts)))
+    # a token holds no whitespace, and UTF-8 puts no 0x20 inside a multi-byte
+    # sequence: the tokens are the non-empty runs between the spaces
+    buf = np.frombuffer(f" {' '.join(map(' '.join, tokens))} ".encode("utf-8"), np.uint8)
+    cuts = np.flatnonzero(buf == ord(" "))
+    gaps = np.diff(cuts) - 1
+    starts, lengths = cuts[:-1][gaps > 0] + 1, gaps[gaps > 0]
     states = _fnv1a64_spans(np.full(len(starts), _FNV_OFFSET, np.uint64), buf, starts, lengths)
 
     # a bigram starts at each token that the next token's text shares
@@ -165,20 +153,21 @@ def _key_codes(texts: list[str], keep: Callable | None = None) -> np.ndarray:
     # a stable sort by text puts each text's unigrams before its bigrams
     rows = np.concatenate([text_of, text_of[first]])
     buckets = (np.concatenate([states, pair_states]) & np.uint64(N_BUCKETS - 1)).astype(np.intp)
-    if keep is not None:
-        kept = np.flatnonzero(keep(buckets))  # an index gathers faster than a mask here
+    if pos is not None:
+        kept = np.flatnonzero(pos[buckets] < held)  # an index gathers faster than a mask here
         rows, buckets = rows[kept], buckets[kept]
     return (rows * N_BUCKETS + buckets)[np.argsort(rows, kind="stable")]
 
 
-def _index(texts: list[str], keep: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _index(texts: list[str], pos: np.ndarray | None = None, held: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(buckets, counts) rows of each text's key counts, in first-occurrence
-    order and padded with bucket 0 at count 0. With `keep`, the keys whose
-    bucket keep(buckets) marks False are dropped as they are hashed: the rows
-    are the unfiltered ones without them. A row depends only on its text:
-    each distinct text is indexed once, its row gathered when some repeats."""
+    order and padded with bucket 0 at count 0. With a _positions table `pos`,
+    a key whose bucket's position is not below `held` is dropped as it is
+    hashed: the rows are the unfiltered ones without it. A row depends only
+    on its text: each distinct text is indexed once, its row gathered when
+    some repeats."""
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    code = _key_codes(list(slot), keep)
+    code = _key_codes(list(slot), pos, held)
     # a stable sort groups each (text, bucket) with its first position first
     order = np.argsort(code, kind="stable")
     group = np.flatnonzero(np.diff(code[order], prepend=-1))
@@ -377,7 +366,9 @@ def _positions(model: LinearModel) -> np.ndarray:
     return pos
 
 
-def _accuracy(model: LinearModel, ids: np.ndarray, counts: np.ndarray, y: np.ndarray, pos=None) -> float:
+def _accuracy(
+    model: LinearModel, ids: np.ndarray, counts: np.ndarray, y: np.ndarray, pos: np.ndarray | None = None
+) -> float:
     """Fraction of _index rows (ids, counts) whose argmax logit is their label
     in y; argmax ties break toward the lowest class index. The model's
     _positions table `pos` sends an unheld bucket to an appended +0.0 column."""
@@ -410,7 +401,7 @@ def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
         raise DomainError("empty evaluation set")
     y = _labels(data, model.n_class)
     pos, held = _positions(model), len(model.buckets)
-    return _accuracy(model, *_index([text for text, _ in data], lambda b: pos[b] < held), y, pos)
+    return _accuracy(model, *_index([text for text, _ in data], pos, held), y, pos)
 
 
 _CHECKPOINT_VERSION = 2

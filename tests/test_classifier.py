@@ -167,12 +167,13 @@ class TestIndex:
         # bucket itself; a repeated text takes the gathered path, a batch of
         # distinct texts the rows as laid out
         texts = texts + texts[:1] * repeat
-        keep = lambda buckets: np.isin(buckets % 16, sorted(kept))
         with pytest.MonkeyPatch.context() as mp:
             if few_buckets:
                 mp.setattr(classifier, "N_BUCKETS", 16)
+            # position 0 for a kept bucket, 1 (not below held = 1) for the rest
+            pos = (~np.isin(np.arange(classifier.N_BUCKETS) % 16, sorted(kept))).astype(np.uint16)
             all_ids, all_counts = classifier._index(texts)
-            ids, counts = classifier._index(texts, keep)
+            ids, counts = classifier._index(texts, pos, 1)
         rows = [
             [(i, c) for i, c in zip(row_ids, row_counts) if c and i % 16 in kept]
             for row_ids, row_counts in zip(all_ids.tolist(), all_counts.tolist())
@@ -766,7 +767,7 @@ class TestEvaluate:
         texts, y = [text for text, _ in data], np.array([label for _, label in data])
         pos = classifier._positions(model)
         assert not set(featurize(" ".join(texts))) & set(buckets.tolist())
-        ids, counts = classifier._index(texts, lambda b: pos[b] < len(buckets))
+        ids, counts = classifier._index(texts, pos, len(buckets))
         assert ids.shape == counts.shape == (4, 0)
         assert evaluate(model, data) == 0.75 == classifier._accuracy(model, *classifier._index(texts), y)
 
