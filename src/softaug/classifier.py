@@ -161,11 +161,10 @@ def _key_codes(texts: list[str], pos: np.ndarray | None = None, held: int = 0) -
 
 def _index(texts: list[str], pos: np.ndarray | None = None, held: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(buckets, counts) rows of each text's key counts, in first-occurrence
-    order and padded with bucket 0 at count 0. With a _positions table `pos`,
-    a key whose bucket's position is not below `held` is dropped as it is
-    hashed: the rows are the unfiltered ones without it. A row depends only
-    on its text: each distinct text is indexed once, its row gathered when
-    some repeats."""
+    order and padded with bucket 0 at count 0; given a _positions table `pos`,
+    without the keys whose bucket's position is not below `held`, dropped as
+    they are hashed. A row depends only on its text: each distinct text is
+    indexed once, its row gathered when some repeats."""
     slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     code = _key_codes(list(slot), pos, held)
     # a stable sort groups each (text, bucket) with its first position first
@@ -366,9 +365,8 @@ def _positions(model: LinearModel) -> np.ndarray:
     return pos
 
 
-def _accuracy(
-    model: LinearModel, ids: np.ndarray, counts: np.ndarray, y: np.ndarray, pos: np.ndarray | None = None
-) -> float:
+def _accuracy(model: LinearModel, ids: np.ndarray, counts: np.ndarray, y: np.ndarray,
+              pos: np.ndarray | None = None) -> float:
     """Fraction of _index rows (ids, counts) whose argmax logit is their label
     in y; argmax ties break toward the lowest class index. The model's
     _positions table `pos` sends an unheld bucket to an appended +0.0 column."""
