@@ -25,15 +25,15 @@ training's bit for bit; padding adds exact zeros to its run's bucket-0
 column. A run's model holds only the columns in which its best snapshot
 has a set bit.
 Training, validation, evaluate and predict share one indexer (_index: rows
-keyed by bucket, so a row depends only on its text; training renumbers
-buckets to dense columns, evaluate drops as it hashes each key in a bucket
-the model does not hold, which would add +0.0, and predict finds a text's
-buckets in the model's by binary search, a miss reading +0.0) and one
-scoring routine (_logits: the bias plus the first term, then each further
-term in first-occurrence order). The indexer takes each distinct text
-once, joins the tokens into one UTF-8 buffer and hashes each occurrence in
-numpy over its span, one step per byte position; a bigram a_b continues
-a's 64-bit state over "_" and b's span, so no bigram string is built.
+keyed by bucket, so a row depends only on its text) and one scoring routine
+(_logits: the bias plus the first term, then each further term in
+first-occurrence order). Training and evaluate map buckets to columns by one
+table (_positions): training numbers the buckets its rows hold, evaluate drops
+as it hashes each key in a bucket the model does not hold (it would add +0.0),
+and predict, scoring one text, binary-searches the model's buckets instead. The
+indexer takes each distinct text once, joins the tokens into one UTF-8 buffer
+and hashes each occurrence in numpy over its span, one step per byte position;
+a bigram a_b continues a's 64-bit state over "_" and b's span.
 featurize(text) is the indexer's row for one text, so it is by
 construction the counts the model reads.
 A checkpoint (version 2) stores a model's arrays as they are, uncompressed,
@@ -262,12 +262,13 @@ def train_runs(
     ids, counts = _index([ex.text for ex in examples] + [text for text, _ in val])
     targets = np.array([ex.soft_label for ex in examples], dtype=float)
     n = len(examples)
-    # one bucket -> column map for all runs; run r's train rows are offset to
-    # its block [r * width, (r + 1) * width), padding to its bucket-0 column;
-    # neither the indexer's ids nor the full inverse outlives the mapping
-    buckets, columns = np.unique(ids, return_inverse=True)
-    columns, width = columns.reshape(ids.shape), len(buckets)
-    del ids
+    # one bucket -> column map for all runs, the _positions table of the buckets present; run
+    # r's rows are offset in intp to its block [r*width, (r+1)*width), padding to its bucket 0
+    present = np.zeros(N_BUCKETS, bool)
+    present[ids] = True
+    buckets = np.flatnonzero(present)
+    columns, width = _positions(buckets)[ids], len(buckets)
+    del ids, present
     val_columns, val_counts, counts = columns[n:].copy(), counts[n:], counts[:n]
     columns = columns[:n] + np.repeat(np.arange(k) * width, lengths)[:, None]
 
@@ -357,11 +358,11 @@ def train(
     return fit
 
 
-def _positions(model: LinearModel) -> np.ndarray:
-    """Position table: a held bucket's column; len(model.buckets) for others."""
-    held = len(model.buckets)
-    pos = np.full(N_BUCKETS, held, np.min_scalar_type(held))  # uint16 below 65,536 held buckets
-    pos[model.buckets] = np.arange(held)
+def _positions(buckets: np.ndarray) -> np.ndarray:
+    """Position table of sorted bucket ids: a bucket's index in `buckets`, len(buckets) for others."""
+    held = len(buckets)
+    pos = np.full(N_BUCKETS, held, np.min_scalar_type(held))  # uint16 below 65,536 buckets
+    pos[buckets] = np.arange(held)
     return pos
 
 
@@ -370,7 +371,7 @@ def _accuracy(model: LinearModel, ids: np.ndarray, counts: np.ndarray, y: np.nda
     """Fraction of _index rows (ids, counts) whose argmax logit is their label
     in y; argmax ties break toward the lowest class index. The model's
     _positions table `pos` sends an unheld bucket to an appended +0.0 column."""
-    pos = _positions(model) if pos is None else pos
+    pos = _positions(model.buckets) if pos is None else pos
     weights = np.hstack([model.weights, np.zeros((model.n_class, 1))])
     preds = _logits(weights, model.bias, pos[ids], counts).argmax(axis=1)
     return np.count_nonzero(preds == y) / len(y)
@@ -398,7 +399,7 @@ def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
     if not data:
         raise DomainError("empty evaluation set")
     y = _labels(data, model.n_class)
-    pos, held = _positions(model), len(model.buckets)
+    pos, held = _positions(model.buckets), len(model.buckets)
     return _accuracy(model, *_index([text for text, _ in data], pos, held), y, pos)
 
 

@@ -46,8 +46,8 @@ class LabeledDataset:
 
 def load_dataset(path, fmt: str | None = None, labels: list[str] | None = None) -> LabeledDataset:
     """Load CSV/TSV/JSONL into a LabeledDataset. fmt defaults from the file
-    extension; `labels` fixes the class order as a sidecar does, and wins
-    over one. Raises DataError naming the offending line."""
+    extension; `labels`, checked as a sidecar's names are, fixes the class
+    order and wins over a sidecar. Raises DataError naming the offending line."""
     path = Path(path)
     if fmt is None:
         fmt = {".csv": "csv", ".tsv": "tsv", ".jsonl": "jsonl"}.get(path.suffix)
@@ -57,7 +57,9 @@ def load_dataset(path, fmt: str | None = None, labels: list[str] | None = None) 
         raise DataError(f"unsupported format {fmt!r}")
 
     sidecar = path.with_name(path.name + ".labels.json")
-    if labels is None and sidecar.exists():
+    if labels is not None:
+        _check_label_names(labels, "labels")
+    elif sidecar.exists():
         labels = _read_label_names(sidecar)
     fixed_labels = labels is not None
     label_map = {lbl: i for i, lbl in enumerate(labels or ())}
@@ -139,13 +141,16 @@ def _read_label_names(sidecar: Path) -> list[str]:
         raise DataError(f"{sidecar.name}: not UTF-8 text ({e})") from None
     if not isinstance(names, list):
         raise DataError(f"{sidecar.name}: expected a JSON list of label names")
-    for name in names:
-        if not isinstance(name, str):
-            raise DataError(f"{sidecar.name}: label name {name!r} is not a string")
-    if len(set(names)) != len(names):
-        dups = sorted({n for n in names if names.count(n) > 1})
-        raise DataError(f"{sidecar.name}: duplicate label names {dups}")
+    _check_label_names(names, sidecar.name)
     return names
+
+
+def _check_label_names(names, source: str) -> None:
+    """Raise DataError, naming `source`, unless `names` are distinct strings."""
+    if not_str := [name for name in names if not isinstance(name, str)]:
+        raise DataError(f"{source}: label name {not_str[0]!r} is not a string")
+    if dups := sorted({name for name in names if names.count(name) > 1}):
+        raise DataError(f"{source}: duplicate label names {dups}")
 
 
 def _largest_remainder_quotas(counts: list[int], n: int) -> list[int]:

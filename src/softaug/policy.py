@@ -99,10 +99,6 @@ class AugmentationPolicy:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @staticmethod
-    def from_json(s: str) -> "AugmentationPolicy":
-        return AugmentationPolicy.from_dict(json.loads(s))
-
 
 @dataclass(frozen=True)
 class PolicySpace:

@@ -50,16 +50,6 @@ class TrialRecord:
             "policy": self.policy.to_dict(),
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrialRecord":
-        return TrialRecord(
-            policy=AugmentationPolicy.from_dict(d["policy"]),
-            score=d["score"],
-            run_scores=tuple(d["run_scores"]),
-            trial_index=d["trial_index"],
-            seed=d["seed"],
-        )
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -109,7 +99,7 @@ def _vector_to_policy(vec: tuple, space: PolicySpace) -> AugmentationPolicy:
     return AugmentationPolicy(n_aug=int(vec[-1]), **values)
 
 
-def _silverman_bandwidth(xs: list[float], lo: float, hi: float) -> float:
+def _silverman_bandwidth(xs: tuple[float, ...], lo: float, hi: float) -> float:
     floor = 0.01 * (hi - lo)
     n = len(xs)
     if n < 2:
@@ -122,13 +112,13 @@ def _silverman_bandwidth(xs: list[float], lo: float, hi: float) -> float:
     return max(0.9 * spread * n ** (-0.2), floor)
 
 
-def _kde_logpdf(x: float, points: list[float], bw: float) -> float:
+def _kde_logpdf(x: float, points: tuple[float, ...], bw: float) -> float:
     norm = 1.0 / (bw * math.sqrt(2 * math.pi))
     total = sum(norm * math.exp(-0.5 * ((x - p) / bw) ** 2) for p in points)
     return math.log(max(total / len(points), 1e-300))
 
 
-def _cat_freq(value, values: list, choices: tuple) -> float:
+def _cat_freq(value, values: tuple, choices: tuple) -> float:
     """Add-one-smoothed frequency of `value` among `values`."""
     return (sum(1 for v in values if v == value) + 1) / (len(values) + len(choices))
 
@@ -153,10 +143,9 @@ def suggest(
     # bandwidth from the whole history per dimension: estimating it from the
     # good/bad subsets alone collapses once the good set concentrates, and a
     # collapsed l(x) stops proposing anything outside the current best point
-    everything = good + bad
-    bw = [_silverman_bandwidth([v[d] for v in everything], *bounds[d]) for d in range(11)]
-    good_cats = [v[-1] for v in good]
-    bad_cats = [v[-1] for v in bad]
+    good_cols, bad_cols = list(zip(*good)), list(zip(*bad))  # one tuple per dimension
+    bw = [_silverman_bandwidth(good_cols[d] + bad_cols[d], *bounds[d]) for d in range(11)]
+    good_cats, bad_cats = good_cols[-1], bad_cols[-1]
     cat_probs = [_cat_freq(c, good_cats, space.n_aug_choices) for c in space.n_aug_choices]
 
     best_vec, best_ratio = None, -math.inf
@@ -170,8 +159,8 @@ def suggest(
 
         ratio = 0.0
         for d in range(11):
-            ratio += _kde_logpdf(vec[d], [v[d] for v in good], bw[d])
-            ratio -= _kde_logpdf(vec[d], [v[d] for v in bad], bw[d])
+            ratio += _kde_logpdf(vec[d], good_cols[d], bw[d])
+            ratio -= _kde_logpdf(vec[d], bad_cols[d], bw[d])
         ratio += math.log(_cat_freq(vec[-1], good_cats, space.n_aug_choices))
         ratio -= math.log(_cat_freq(vec[-1], bad_cats, space.n_aug_choices))
         if ratio > best_ratio:

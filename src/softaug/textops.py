@@ -69,7 +69,7 @@ class SynonymLexicon:
 
 
 def load_lexicon(source) -> SynonymLexicon:
-    """Parse a lexicon from a path, text stream, or byte stream.
+    """Parse a lexicon from a path or a byte stream.
 
     Format: one `headword<TAB>syn1,syn2,...` entry per line; `#` comment
     lines and blank lines are ignored. Headwords are lowercased, duplicate
@@ -78,17 +78,14 @@ def load_lexicon(source) -> SynonymLexicon:
     Raises DataError naming the line number for malformed lines, and naming
     the file for bytes that are not UTF-8.
     """
-    if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
         with open(source, "rb") as f:
             return load_lexicon(f)
-    if isinstance(source, io.TextIOBase):
-        lines = source.read().removeprefix("\ufeff").splitlines()
-    else:
-        try:
-            lines = source.read().decode("utf-8-sig").splitlines()
-        except UnicodeDecodeError as e:
-            name = getattr(source, "name", "stream")
-            raise DataError(f"lexicon {name}: not UTF-8 text ({e})") from None
+    try:
+        lines = source.read().decode("utf-8-sig").splitlines()
+    except UnicodeDecodeError as e:
+        name = getattr(source, "name", "stream")
+        raise DataError(f"lexicon {name}: not UTF-8 text ({e})") from None
 
     entries: dict[str, list[str]] = {}
     for lineno, raw in enumerate(lines, start=1):

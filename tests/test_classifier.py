@@ -622,6 +622,53 @@ class TestTrainRuns:
             assert model.weights.shape == (3, len(own))
             assert model.weights.view(np.uint64).any(axis=0).all()
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_column_map_equals_unique(self, data):
+        # the call numbers its rows' buckets through the _positions table of
+        # the buckets present: np.unique's sorted buckets and inverse, over
+        # all N_BUCKETS buckets or 16 (collisions), with repeated texts
+        texts = data.draw(st.lists(TEXTS, min_size=2, max_size=10))
+        texts += texts[: data.draw(st.integers(0, len(texts)))]
+        cut = data.draw(st.integers(1, len(texts) - 1))
+        cuts = sorted(data.draw(st.sets(st.integers(1, cut), max_size=2)) | {0, cut})
+        runs = [hard_examples((t, 0) for t in texts[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+        val = [(t, 1) for t in texts[cut:]]
+        tables, positions = [], classifier._positions
+
+        def spy(buckets):
+            tables.append((buckets, positions(buckets)))
+            return tables[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            if data.draw(st.booleans()):
+                mp.setattr(classifier, "N_BUCKETS", 16)
+            mp.setattr(classifier, "_positions", spy)
+            train_runs(runs, val, 2, TrainConfig(max_epochs=1, patience=1), [random.Random(0)] * len(runs))
+            ids, _ = classifier._index([ex.text for run in runs for ex in run] + [t for t, _ in val])
+        [(buckets, table)] = tables
+        ref_buckets, inverse = np.unique(ids, return_inverse=True)
+        assert (buckets.dtype, buckets.tolist()) == (ref_buckets.dtype, ref_buckets.tolist())
+        np.testing.assert_array_equal(table[ids], inverse.reshape(ids.shape))
+
+    def test_run_offsets_past_uint16(self):
+        # the table is uint16 below 65,536 buckets, and the runs' blocks span
+        # k * width columns past 65,535: the offsets must not wrap
+        rng = random.Random(0)
+        runs = [
+            hard_examples((" ".join(f"w{rng.randrange(10**6)}" for _ in range(8)), i % 2) for i in range(300))
+            for _ in range(4)
+        ]
+        val = [(ex.text, i % 2) for i, ex in enumerate(runs[0][:20])]
+        width = len(np.unique(classifier._index([ex.text for run in runs for ex in run])[0]))
+        assert width < 65_536 < len(runs) * width
+        cfg = TrainConfig(max_epochs=2, patience=1)
+        fits = train_runs(runs, val, 2, cfg, [random.Random(seed) for seed in range(4)])
+        for seed, (run, (model, history)) in enumerate(zip(runs, fits)):
+            solo_model, solo_history = train(run, val, 2, cfg, random.Random(seed))
+            assert history == solo_history
+            assert_same_model(model, solo_model)
+
     def test_first_failing_runs_error(self):
         # at this learning rate the logits overflow: run 0 fails at epoch 3,
         # run 1 at epoch 2, and separate trainings would raise run 0's error
@@ -765,7 +812,7 @@ class TestEvaluate:
         model = LinearModel(buckets, np.ones((2, len(buckets))), np.array([0.5, 0.0]))
         data = [("bad", 0), ("a dull film", 0), ("", 1), ("bad", 0)]
         texts, y = [text for text, _ in data], np.array([label for _, label in data])
-        pos = classifier._positions(model)
+        pos = classifier._positions(model.buckets)
         assert not set(featurize(" ".join(texts))) & set(buckets.tolist())
         ids, counts = classifier._index(texts, pos, len(buckets))
         assert ids.shape == counts.shape == (4, 0)

@@ -80,6 +80,21 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=message):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (["pos", "neg", "pos"], r"^labels: duplicate label names \['pos'\]$"),
+            (["pos", 1], "^labels: label name 1 is not a string$"),
+        ],
+        ids=["duplicate", "not-a-string"],
+    )
+    def test_labels_argument_rejected_as_a_sidecar_is(self, tmp_path, labels, message):
+        # unchecked, a repeated name left a class index past n_class
+        path = tmp_path / "d.csv"
+        path.write_text("text,label\na,pos\nb,neg\nc,pos\n")
+        with pytest.raises(DataError, match=message):
+            load_dataset(path, labels=labels)
+
     def test_bad_json_names_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"text": "a", "label": "x"}\nnot json\n')

@@ -84,7 +84,6 @@ class TestValidatePolicy:
         for build in (
             lambda: AugmentationPolicy(**bad),
             lambda: AugmentationPolicy.from_dict(bad),
-            lambda: AugmentationPolicy.from_json(json.dumps(bad)),
         ):
             with pytest.raises(DomainError, match=r"^invalid policy: eps_ori: 0.7 not in \[0, 0.5\]$"):
                 build()
@@ -362,4 +361,4 @@ class TestApplyPolicyGolden:
 
 class TestPolicySerialization:
     def test_json_round_trip(self):
-        assert AugmentationPolicy.from_json(BASELINE_POLICY.to_json()) == BASELINE_POLICY
+        assert AugmentationPolicy.from_dict(json.loads(BASELINE_POLICY.to_json())) == BASELINE_POLICY
