@@ -44,6 +44,7 @@ from __future__ import annotations
 import os
 import random
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -406,26 +407,33 @@ def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:
 _CHECKPOINT_VERSION = 2
 
 
+@contextmanager
+def _atomic_write(path):
+    """A binary handle to `path`.tmp, renamed over `path` when the block ends:
+    a write that fails leaves an existing file as it was, and no .tmp file."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_model(model: LinearModel, path):
     """Checkpoint version 2: an uncompressed npz with version, n_class and
     the model's arrays as they are: buckets, weights (one row per class, one
     column per bucket), bias, and labels (a string array) when the model has
     them. A trained model holds a few percent of the N_BUCKETS buckets, so
     these are about the size of the zlib-compressed dense matrix, without
-    zlib's cost. The file is written beside `path` and renamed over it, so a
-    save that fails leaves an existing checkpoint as it was."""
+    zlib's cost. The file is written through _atomic_write, so a save that
+    fails leaves an existing checkpoint as it was."""
     arrays = {"buckets": model.buckets, "weights": model.weights, "bias": model.bias}
     if model.labels is not None:
         arrays["labels"] = np.array(model.labels, dtype=str)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        # write through a handle so numpy keeps the caller's extension as-is
-        with open(tmp, "wb") as f:
-            np.savez(f, version=np.int64(_CHECKPOINT_VERSION), n_class=np.int64(model.n_class), **arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    # streamed into the handle, so numpy keeps the caller's extension as-is
+    with _atomic_write(path) as f:
+        np.savez(f, version=np.int64(_CHECKPOINT_VERSION), n_class=np.int64(model.n_class), **arrays)
 
 
 def load_model(path) -> LinearModel:

@@ -11,15 +11,13 @@ import random
 import sys
 from pathlib import Path
 
-from .classifier import evaluate, load_model, save_model, train
+from .classifier import _atomic_write, evaluate, load_model, save_model, train
 from .datasets import load_dataset, make_val_split
-from .errors import DataError, DomainError, TrainingError
-from .harness import (
-    ExperimentConfig, _atomic_write, load_experiment_lexicon, render_report, run_experiment, search_policy,
-    seed_splits,
-)
+from .errors import DataError, SoftAugError, TrainingError
+from .harness import ExperimentConfig, render_report, run_experiment, search_policy, seed_splits
 from .policy import AugmentationPolicy, apply_policy
 from .search import SearchConfig
+from .textops import load_lexicon
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,12 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_json(path, what: str, parse):
     """parse() of the JSON in the file at `path`. A file that cannot be
-    opened, is not UTF-8 or not JSON, or lacks a key or holds a value of
-    the wrong type raises DataError naming it."""
+    opened, is not UTF-8 or not JSON, nests too deep for the parser, or
+    lacks a key or holds a value of the wrong type raises DataError naming it."""
     try:
         with open(path, encoding="utf-8-sig") as f:
             return parse(json.load(f))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as e:
         raise DataError(f"cannot read {what} {path}: {e}")
 
 
@@ -80,12 +78,11 @@ def _read_policy(path) -> AugmentationPolicy:
 def _cmd_augment(args) -> int:
     data = load_dataset(args.input, args.format)
     policy = _read_policy(args.policy)
-    examples = apply_policy(
-        data.split("train"), data.n_class, policy, load_experiment_lexicon(args.lexicon),
-        random.Random(args.seed),
-    )
+    lex, rng = load_lexicon(args.lexicon), random.Random(args.seed)
+    examples = apply_policy(data.split("train"), data.n_class, policy, lex, rng)
     # the whole file is built, then swapped in: a failure leaves the old output
-    _atomic_write(Path(args.output), "".join(json.dumps(ex.to_dict()) + "\n" for ex in examples))
+    with _atomic_write(args.output) as f:
+        f.write("".join(json.dumps(ex.to_dict()) + "\n" for ex in examples).encode("utf-8"))
     print(f"wrote {len(examples)} examples to {args.output}")
     return 0
 
@@ -97,7 +94,7 @@ def _cmd_search(args) -> int:
         search=SearchConfig(n_trials=args.trials, n_startup=min(5, max(1, args.trials - 1))),
     )
     data = load_dataset(args.input, args.format)
-    lex = load_experiment_lexicon(args.lexicon)
+    lex = load_lexicon(args.lexicon)
     tr, val = seed_splits(data, cfg, args.seed)
     # every input is read before the output directory is touched
     out = Path(args.output)
@@ -115,7 +112,7 @@ def _cmd_train(args) -> int:
         tr, val = data.split("train"), data.split("val")
     else:
         tr, val = make_val_split(data.split("train"), cfg.val_fraction, args.seed)
-    examples = apply_policy(tr, data.n_class, policy, load_experiment_lexicon(args.lexicon), rng)
+    examples = apply_policy(tr, data.n_class, policy, load_lexicon(args.lexicon), rng)
     model, history = train(examples, val, data.n_class, cfg.train, rng)
     model.labels = data.label_names
     save_model(model, args.output)
@@ -156,12 +153,9 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, DomainError, OSError) as e:
+    except (SoftAugError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TrainingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(e, TrainingError) else 2
 
 
 if __name__ == "__main__":

@@ -93,8 +93,9 @@ def load_dataset(path, fmt: str | None = None, labels: list[str] | None = None) 
 def _read_rows(path: Path, fmt: str) -> list[tuple[str, str, str]]:
     """The (text, label string, split) rows of a dataset file."""
     rows = []
-    if fmt == "jsonl":
-        with open(path, encoding="utf-8-sig") as f:
+    # newline="": csv needs the line ends as they are; json.loads reads "\r\n" or "\r" as whitespace
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        if fmt == "jsonl":
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
@@ -102,6 +103,8 @@ def _read_rows(path: Path, fmt: str) -> list[tuple[str, str, str]]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise DataError(f"{path.name} line {lineno}: invalid JSON ({e.msg})")
+                except RecursionError:
+                    raise DataError(f"{path.name} line {lineno}: invalid JSON (nested too deep)") from None
                 if not isinstance(obj, dict):
                     raise DataError(f"{path.name} line {lineno}: expected a JSON object")
                 if "text" not in obj or "label" not in obj:
@@ -117,16 +120,17 @@ def _read_rows(path: Path, fmt: str) -> list[tuple[str, str, str]]:
                 if isinstance(label, bool) or not isinstance(label, (str, int)):
                     raise DataError(f"{path.name} line {lineno}: label {label!r} is not a string or an integer")
                 rows.append((text, str(label), str(obj.get("split", "train"))))
-    else:
-        delim = "," if fmt == "csv" else "\t"
-        with open(path, encoding="utf-8-sig", newline="") as f:
-            reader = csv.DictReader(f, delimiter=delim)
-            if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
-                raise DataError(f"{path.name}: header must include text,label")
-            for lineno, row in enumerate(reader, start=2):
-                if row["text"] is None or row["label"] is None:
-                    raise DataError(f"{path.name} line {lineno}: missing field")
-                rows.append((row["text"], row["label"], row.get("split") or "train"))
+        else:
+            reader = csv.DictReader(f, delimiter="," if fmt == "csv" else "\t")
+            try:
+                if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
+                    raise DataError(f"{path.name}: header must include text,label")
+                for lineno, row in enumerate(reader, start=2):
+                    if row["text"] is None or row["label"] is None:
+                        raise DataError(f"{path.name} line {lineno}: missing field")
+                    rows.append((row["text"], row["label"], row.get("split") or "train"))
+            except csv.Error as e:  # such as a field over csv.field_size_limit()
+                raise DataError(f"{path.name} line {reader.reader.line_num}: {e}") from None
     return rows
 
 
@@ -137,6 +141,8 @@ def _read_label_names(sidecar: Path) -> list[str]:
         names = json.loads(sidecar.read_text("utf-8-sig"))
     except json.JSONDecodeError as e:
         raise DataError(f"{sidecar.name}: invalid JSON ({e.msg})")
+    except RecursionError:
+        raise DataError(f"{sidecar.name}: invalid JSON (nested too deep)") from None
     except UnicodeDecodeError as e:
         raise DataError(f"{sidecar.name}: not UTF-8 text ({e})") from None
     if not isinstance(names, list):

@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import traceback
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .classifier import TrainConfig, _accuracy, _index, _labels, train_runs
+from .classifier import TrainConfig, _accuracy, _atomic_write, _index, _labels, train_runs
 from .datasets import Example, LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
 from .errors import DataError, DomainError, SoftAugError, TrainingError, is_int, is_real, require_counts
 from .policy import AugmentationPolicy, AugmentedExample, PolicySpace, apply_policy
 from .search import _SEED_RANGE, SearchConfig, optimize
-from .textops import SynonymLexicon, load_bundled_lexicon, load_lexicon
+from .textops import SynonymLexicon, load_lexicon
 
 __all__ = [
     "METHODS",
@@ -37,7 +36,6 @@ __all__ = [
     "search_policy",
     "seed_splits",
     "run_experiment",
-    "load_experiment_lexicon",
     "render_report",
 ]
 
@@ -223,19 +221,9 @@ def search_policy(train_split, val_split, n_class: int, lex: SynonymLexicon, cfg
         best, history = optimize(train_split, val_split, n_class, cfg.space, lex, cfg.search, cfg.train,
                                  seed, log, smoothing=smoothing)
     if out_dir:
-        _atomic_write(out_dir / f"best_policy{suffix}.json", best.to_json() + "\n")
+        with _atomic_write(out_dir / f"best_policy{suffix}.json") as f:
+            f.write((best.to_json() + "\n").encode("utf-8"))
     return best, history
-
-
-def _load_experiment_dataset(cfg: ExperimentConfig) -> LabeledDataset:
-    if cfg.dataset_path is None:
-        return make_synthetic_reviews()
-    return load_dataset(cfg.dataset_path, cfg.dataset_format)
-
-
-def load_experiment_lexicon(path: str | None) -> SynonymLexicon:
-    """The lexicon file at `path`, or the bundled lexicon for None."""
-    return load_bundled_lexicon() if path is None else load_lexicon(path)
 
 
 def seed_splits(
@@ -258,10 +246,11 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     for every (method, seed) it runs, and for a searched one also its trials
     and best_policy files, report.json and report.txt, and no other file. A
     dataset with fewer than two classes raises DataError before any cell runs."""
-    data = _load_experiment_dataset(cfg)
+    data = (make_synthetic_reviews() if cfg.dataset_path is None
+            else load_dataset(cfg.dataset_path, cfg.dataset_format))
     if data.n_class < 2:
         raise DataError(f"dataset {data.name!r} has {data.n_class} class; a comparison needs at least 2")
-    lex = load_experiment_lexicon(cfg.lexicon_path)
+    lex = load_lexicon(cfg.lexicon_path)
     test_split = data.split("test")
     # the same split for every seed: indexed once, then scored by each model
     test_rows = (*_index([text for text, _ in test_split]), _labels(test_split, data.n_class))
@@ -280,7 +269,8 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     def fail(method: str, seed: int):  # in an except block: degrade, don't abort the sweep
         failures[method].append(seed)
         if out_dir:
-            _atomic_write(out_dir / f"failure_{method}_seed{seed}.txt", traceback.format_exc())
+            with _atomic_write(out_dir / f"failure_{method}_seed{seed}.txt") as f:
+                f.write(traceback.format_exc().encode("utf-8"))
 
     for seed in cfg.seeds:
         tr, val = seed_splits(data, cfg, seed)
@@ -307,21 +297,11 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     ])
 
     if out_dir:
-        _atomic_write(
-            out_dir / "report.json",
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        )
-        _atomic_write(out_dir / "report.txt", render_report(report))
+        with _atomic_write(out_dir / "report.json") as f:
+            f.write((json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        with _atomic_write(out_dir / "report.txt") as f:
+            f.write(render_report(report).encode("utf-8"))
     return report
-
-
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def format_cell(mean: float, std: float) -> str:

@@ -69,7 +69,7 @@ class SynonymLexicon:
 
 
 def load_lexicon(source) -> SynonymLexicon:
-    """Parse a lexicon from a path or a byte stream.
+    """Parse a lexicon from a path, a byte stream, or None for the bundled lexicon.
 
     Format: one `headword<TAB>syn1,syn2,...` entry per line; `#` comment
     lines and blank lines are ignored. Headwords are lowercased, duplicate
@@ -78,6 +78,8 @@ def load_lexicon(source) -> SynonymLexicon:
     Raises DataError naming the line number for malformed lines, and naming
     the file for bytes that are not UTF-8.
     """
+    if source is None:
+        return load_bundled_lexicon()
     if isinstance(source, str) or hasattr(source, "__fspath__"):
         with open(source, "rb") as f:
             return load_lexicon(f)

@@ -28,7 +28,7 @@ from softaug.classifier import (
 from softaug.datasets import make_synthetic_reviews
 from softaug.errors import DataError, DomainError, TrainingError
 from softaug.harness import ExperimentConfig, _fixed_policy, seed_splits
-from softaug.labels import smooth_label, soft_cross_entropy, softmax
+from softaug.labels import smooth_label, soft_ce_gradient, soft_cross_entropy, softmax
 from softaug.policy import AugmentedExample, apply_policy
 from softaug.textops import load_bundled_lexicon
 
@@ -355,7 +355,8 @@ def dense_train(train_examples, val, n_class, cfg, rng, batched=False):
     by example and feature by feature (np.add.at's order): `train` must
     match it. With batched=False each example is scored after its
     batch-mates' steps (the per-example rule), which `train` matches at
-    batch_size=1."""
+    batch_size=1. The gradient is labels.soft_ce_gradient, the one that
+    criterion 6 checks against finite differences."""
     feats = [scalar_featurize(ex.text) for ex in train_examples]
     targets = [np.asarray(ex.soft_label, dtype=float) for ex in train_examples]
     val_feats = [(scalar_featurize(text), y) for text, y in val]
@@ -369,11 +370,11 @@ def dense_train(train_examples, val, n_class, cfg, rng, batched=False):
             batch = order[start : start + cfg.batch_size]
             scale = cfg.learning_rate / len(batch)
             bias_grad = np.zeros(n_class)
-            pre = [softmax(loop_logits(weights, bias, feats[i])) for i in batch] if batched else []
+            pre = [loop_logits(weights, bias, feats[i]) for i in batch] if batched else []
             for k, i in enumerate(batch):
-                probs = pre[k] if batched else softmax(loop_logits(weights, bias, feats[i]))
-                loss_sum += soft_cross_entropy(probs, targets[i])
-                g = probs - targets[i]
+                logits = pre[k] if batched else loop_logits(weights, bias, feats[i])
+                loss_sum += soft_cross_entropy(softmax(logits), targets[i])
+                g = soft_ce_gradient(logits, targets[i])
                 bias_grad += g
                 for idx, count in feats[i].items():
                     weights[:, idx] -= scale * count * g

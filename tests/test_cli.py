@@ -3,13 +3,13 @@ import hashlib
 import itertools
 import json
 import random
-from pathlib import Path
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from softaug import cli, search
-from softaug.classifier import N_BUCKETS, load_model, save_model
+from softaug import cli, harness, search
+from softaug.classifier import N_BUCKETS, _atomic_write, load_model, save_model
 from softaug.cli import main
 from softaug.errors import TrainingError
 from softaug.policy import AugmentationPolicy, AugmentedExample
@@ -21,11 +21,22 @@ POLICY = AugmentationPolicy(
 )
 
 
-def interrupted_write(path, text, **kwargs):
-    # Path.write_text that runs out of disk after 5 bytes
-    with open(path, "w", **kwargs) as f:
-        f.write(text[:5])
-    raise OSError(28, "No space left on device")
+class OutOfSpace:
+    """A binary handle whose disk runs out after the first 5 bytes."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data[:5])
+        raise OSError(28, "No space left on device")
+
+
+@contextmanager
+def interrupted_write(path):
+    # _atomic_write on a disk that runs out after 5 bytes
+    with _atomic_write(path) as f:
+        yield OutOfSpace(f)
 
 
 @pytest.fixture
@@ -111,12 +122,22 @@ class TestAugmentCommand:
     def test_interrupted_write_keeps_the_old_output(self, dataset, policy_file, tmp_path, monkeypatch, capsys):
         out = tmp_path / "aug.jsonl"
         out.write_text("OLD CONTENT\n")
-        monkeypatch.setattr(Path, "write_text", interrupted_write)
+        monkeypatch.setattr(cli, "_atomic_write", interrupted_write)
         argv = ["augment", "--input", str(dataset), "--policy", str(policy_file), "--seed", "3"]
         assert main(argv + ["--output", str(out)]) == 2
         assert "No space left" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["aug.jsonl", "data.jsonl", "policy.json"]
         assert out.read_bytes() == b"OLD CONTENT\n"
+
+    def test_csv_field_over_the_size_limit_is_data_error(self, policy_file, tmp_path, capsys):
+        # csv.field_size_limit() defaults to 131,072 characters
+        big = tmp_path / "big.csv"
+        big.write_text("text,label\nfine movie,pos\n" + "x" * 200_000 + ",neg\n")
+        argv = ["augment", "--input", str(big), "--policy", str(policy_file), "--seed", "0"]
+        assert main(argv + ["--output", str(tmp_path / "o.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: big.csv line 3: field larger than field limit") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "policy.json"]
 
     def test_missing_file_is_data_error(self, policy_file, tmp_path):
         code = main([
@@ -321,7 +342,7 @@ class TestSearchCommand:
         out = tmp_path / "searchout"
         out.mkdir()
         (out / "best_policy.json").write_text("OLD CONTENT\n")
-        monkeypatch.setattr(Path, "write_text", interrupted_write)
+        monkeypatch.setattr(harness, "_atomic_write", interrupted_write)
         code = main([
             "search", "--input", str(dataset), "--n-train", "40", "--trials", "2",
             "--seed", "0", "--output", str(out),
@@ -649,3 +670,20 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: search.{next(iter(search))}: ")
         assert 'top-level "train"' in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["deep.jsonl", "data.jsonl.labels.json", "policy.json", "config.json"])
+def test_json_nested_too_deep_is_data_error(dataset, policy_file, tmp_path, capsys, name):
+    # json raises RecursionError far below this depth
+    deep = "[" * 100_000 + "]" * 100_000
+    first = '{"text": "fine movie", "label": 0}\n' if name == "deep.jsonl" else ""
+    (tmp_path / name).write_text(first + deep + "\n")
+    if name == "config.json":
+        argv = ["compare", "--config", str(tmp_path / name)]
+    else:
+        data = tmp_path / name if name == "deep.jsonl" else dataset
+        argv = ["augment", "--input", str(data), "--policy", str(policy_file), "--seed", "0",
+                "--output", str(tmp_path / "o.jsonl")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "Traceback" not in err

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import re
 from collections import Counter
@@ -204,6 +206,36 @@ def balanced_dataset(n_per_class=500, n_class=2):
         (f"text number {i} class {c}", c) for c in range(n_class) for i in range(n_per_class)
     ]
     return LabeledDataset("toy", n_class, {"train": train})
+
+
+# one file per format, each holding a quoted CSV field with a comma and a '"',
+# a text with a tab (escaped in JSONL, quoted in TSV) and one with U+2028
+LINE_END_ROWS = [
+    ("a movie, \"sort of\" good", "pos", "train"),
+    ("tab\there", "neg", "test"),
+    ("line\u2028separator", "pos", "train"),
+]
+
+
+def line_end_file(fmt: str) -> str:
+    if fmt == "jsonl":
+        return "".join(
+            json.dumps({"text": t, "label": y, "split": s}, ensure_ascii=False) + "\n" for t, y, s in LINE_END_ROWS
+        )
+    buf = io.StringIO()
+    csv.writer(buf, delimiter="," if fmt == "csv" else "\t", lineterminator="\n").writerows(
+        [("text", "label", "split"), *LINE_END_ROWS]
+    )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("fmt", ["jsonl", "csv", "tsv"])
+def test_line_ends_load_the_same_rows(tmp_path, fmt, end):
+    path = tmp_path / f"d.{fmt}"
+    path.write_bytes(line_end_file(fmt).replace("\n", end).encode("utf-8"))
+    [(t0, _, _), (t1, _, _), (t2, _, _)] = LINE_END_ROWS
+    assert load_dataset(path).splits == {"train": [(t0, 0), (t2, 0)], "test": [(t1, 1)]}
 
 
 class TestSubsample:

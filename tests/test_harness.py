@@ -3,7 +3,6 @@ import itertools
 import json
 import random
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,18 +484,13 @@ class TestRunExperiment:
 
 
 class TestAtomicWrite:
-    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text('{"cells": []}\n', encoding="utf-8")
-
-        def interrupted(self, text, **kwargs):
-            with open(self, "w", **kwargs) as f:
-                f.write(text[:5])
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(Path, "write_text", interrupted)
         with pytest.raises(OSError, match="No space"):
-            harness._atomic_write(path, '{"cells": [1]}\n')
+            with harness._atomic_write(path) as f:
+                f.write(b'{"cells": [1]}\n'[:5])  # the disk runs out after 5 bytes
+                raise OSError(28, "No space left on device")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
         assert path.read_bytes() == b'{"cells": []}\n'
 
