@@ -281,61 +281,63 @@ def train_runs(
 
     orders = [list(range(m)) for m in lengths]
     active = list(range(k))
-    for epoch in range(1, cfg.max_epochs + 1):
-        for r in active:
-            rngs[r].shuffle(orders[r])
-        # the active runs' rows in visiting order, laid out step by step and
-        # within a step run by run: a step's batches are one contiguous slice
-        step = np.concatenate([np.arange(lengths[r]) // bs for r in active])
-        plan = np.argsort(step, kind="stable")
-        rows = np.concatenate([offsets[r] + np.array(orders[r]) for r in active])[plan]
-        run_of, step = np.repeat(active, [lengths[r] for r in active])[plan], step[plan]
-        ids_e, counts_e, targets_e = columns[rows], counts[rows], targets[rows]
-        # cell (class, column) sits at class * n_columns + column of the flat weights
-        cells_e = ids_e[:, None, :] + np.arange(n_class)[:, None] * (k * width)
-        scale = cfg.learning_rate / np.minimum(bs, np.array(lengths)[run_of] - step * bs)
-        scaled_e = -(scale[:, None] * counts_e)
-        probs_e = np.empty_like(targets_e)
-        lo = 0
-        for start in range(0, max(lengths[r] for r in active), bs):
-            sizes = [(r, min(bs, lengths[r] - start)) for r in active if start < lengths[r]]
-            hi = lo + sum(size for _, size in sizes)
-            z = _logits(weights, biases[run_of[lo:hi]], ids_e[lo:hi], counts_e[lo:hi])
-            probs_e[lo:hi] = softmax(z)
-            g = probs_e[lo:hi] - targets_e[lo:hi]
-            # one unbuffered 1-D scatter-add over (row, class, position), so
-            # batch-mates' steps to a shared cell add up in row order; padding
-            # adds zero steps to its run's bucket-0 column
-            steps = scaled_e[lo:hi, None, :] * g[:, :, None]
-            np.add.at(weights.reshape(-1), cells_e[lo:hi].reshape(-1), steps.reshape(-1))
-            end = 0
-            for r, size in sizes:
-                biases[r] -= cfg.learning_rate / size * g[end : end + size].sum(axis=0)
-                end += size
-            lo = hi
-        del ids_e, counts_e, cells_e, scaled_e  # freed before the next epoch builds its own
+    # a diverging run fails by its non-finite loss; numpy's warnings on the way add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            for r in active:
+                rngs[r].shuffle(orders[r])
+            # the active runs' rows in visiting order, laid out step by step and
+            # within a step run by run: a step's batches are one contiguous slice
+            step = np.concatenate([np.arange(lengths[r]) // bs for r in active])
+            plan = np.argsort(step, kind="stable")
+            rows = np.concatenate([offsets[r] + np.array(orders[r]) for r in active])[plan]
+            run_of, step = np.repeat(active, [lengths[r] for r in active])[plan], step[plan]
+            ids_e, counts_e, targets_e = columns[rows], counts[rows], targets[rows]
+            # cell (class, column) sits at class * n_columns + column of the flat weights
+            cells_e = ids_e[:, None, :] + np.arange(n_class)[:, None] * (k * width)
+            scale = cfg.learning_rate / np.minimum(bs, np.array(lengths)[run_of] - step * bs)
+            scaled_e = -(scale[:, None] * counts_e)
+            probs_e = np.empty_like(targets_e)
+            lo = 0
+            for start in range(0, max(lengths[r] for r in active), bs):
+                sizes = [(r, min(bs, lengths[r] - start)) for r in active if start < lengths[r]]
+                hi = lo + sum(size for _, size in sizes)
+                z = _logits(weights, biases[run_of[lo:hi]], ids_e[lo:hi], counts_e[lo:hi])
+                probs_e[lo:hi] = softmax(z)
+                g = probs_e[lo:hi] - targets_e[lo:hi]
+                # one unbuffered 1-D scatter-add over (row, class, position), so
+                # batch-mates' steps to a shared cell add up in row order; padding
+                # adds zero steps to its run's bucket-0 column
+                steps = scaled_e[lo:hi, None, :] * g[:, :, None]
+                np.add.at(weights.reshape(-1), cells_e[lo:hi].reshape(-1), steps.reshape(-1))
+                end = 0
+                for r, size in sizes:
+                    biases[r] -= cfg.learning_rate / size * g[end : end + size].sum(axis=0)
+                    end += size
+                lo = hi
+            del ids_e, counts_e, cells_e, scaled_e  # freed before the next epoch builds its own
 
-        losses_e = soft_cross_entropy(probs_e, targets_e)
-        for r in active:
-            # summed one example at a time, in visiting order
-            mean_loss = float(losses_e[run_of == r].cumsum()[-1]) / lengths[r]
-            if not np.isfinite(mean_loss):
-                failed[r] = epoch
-                continue
-            block = weights[:, r * width : (r + 1) * width]
-            preds = _logits(block, biases[r], val_columns, val_counts).argmax(axis=1)
-            val_acc = np.count_nonzero(preds == val_y) / len(val)
-            histories[r].append(EpochStats(epoch, mean_loss, val_acc))
-            if val_acc > best_acc[r]:
-                best_acc[r], stale[r] = val_acc, 0
-                # held: the columns where some class's weight has a set bit, -0.0 too
-                held = block.view(np.uint64).any(axis=0)
-                best[r] = LinearModel(buckets[held], block[:, held], biases[r].copy())
-            else:
-                stale[r] += 1
-        active = [r for r in active if r not in failed and stale[r] < cfg.patience]
-        if not active:
-            break
+            losses_e = soft_cross_entropy(probs_e, targets_e)
+            for r in active:
+                # summed one example at a time, in visiting order
+                mean_loss = float(losses_e[run_of == r].cumsum()[-1]) / lengths[r]
+                if not np.isfinite(mean_loss):
+                    failed[r] = epoch
+                    continue
+                block = weights[:, r * width : (r + 1) * width]
+                preds = _logits(block, biases[r], val_columns, val_counts).argmax(axis=1)
+                val_acc = np.count_nonzero(preds == val_y) / len(val)
+                histories[r].append(EpochStats(epoch, mean_loss, val_acc))
+                if val_acc > best_acc[r]:
+                    best_acc[r], stale[r] = val_acc, 0
+                    # held: the columns where some class's weight has a set bit, -0.0 too
+                    held = block.view(np.uint64).any(axis=0)
+                    best[r] = LinearModel(buckets[held], block[:, held], biases[r].copy())
+                else:
+                    stale[r] += 1
+            active = [r for r in active if r not in failed and stale[r] < cfg.patience]
+            if not active:
+                break
     return [
         TrainingError(f"non-finite training loss at epoch {failed[r]}") if r in failed
         else (best[r], histories[r])

@@ -125,9 +125,9 @@ def _read_rows(path: Path, fmt: str) -> list[tuple[str, str, str]]:
             try:
                 if reader.fieldnames is None or not {"text", "label"} <= set(reader.fieldnames):
                     raise DataError(f"{path.name}: header must include text,label")
-                for lineno, row in enumerate(reader, start=2):
+                for row in reader:
                     if row["text"] is None or row["label"] is None:
-                        raise DataError(f"{path.name} line {lineno}: missing field")
+                        raise DataError(f"{path.name} line {reader.reader.line_num}: missing field")
                     rows.append((row["text"], row["label"], row.get("split") or "train"))
             except csv.Error as e:  # such as a field over csv.field_size_limit()
                 raise DataError(f"{path.name} line {reader.reader.line_num}: {e}") from None

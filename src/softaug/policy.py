@@ -126,8 +126,8 @@ class PolicySpace:
             if not rlo <= lo < hi <= rhi:
                 raise DomainError(f"{name}: bounds [{lo}, {hi}] need {rlo} <= lo < hi <= {rhi}")
         choices = self.n_aug_choices
-        if not choices or not all(is_int(n) and n >= 1 for n in choices):
-            raise DomainError(f"n_aug_choices: {list(choices)} need integers >= 1")
+        if not choices or not all(is_int(n) and n >= 1 for n in choices) or len(set(choices)) < len(choices):
+            raise DomainError(f"n_aug_choices: {list(choices)} need distinct integers >= 1")
 
     @staticmethod
     def from_dict(d: dict) -> "PolicySpace":
@@ -149,25 +149,32 @@ class PolicySpace:
                 raise DomainError(f"space.{key}: cannot read {val!r} ({e})") from e
         return PolicySpace(**kwargs)
 
+    def bounds(self, name: str) -> tuple[float, float]:
+        """The bounds of a continuous policy field; the four mix weights share `weight`."""
+        return self.weight if name in _MIX else getattr(self, name)
+
+    def policy(self, values: dict) -> AugmentationPolicy:
+        """The policy of per-field values: each continuous value clamped into
+        its bounds, the mix renormalized onto the simplex, n_aug an int."""
+        fields = dict(values, n_aug=int(values["n_aug"]))
+        for name in fields.keys() - {"n_aug"}:
+            lo, hi = self.bounds(name)
+            fields[name] = min(max(fields[name], lo), hi)
+        fields.update(zip(_MIX, _renormalize([fields[name] for name in _MIX])))
+        return AugmentationPolicy(**fields)
+
 
 def sample_policy(space: PolicySpace, rng: random.Random) -> AugmentationPolicy:
-    """Uniform prior draw: continuous dims uniform in bounds, the mix as
-    four normalized Uniform(weight-bounds) draws, n_aug uniform categorical."""
-    probs = _renormalize([rng.uniform(*space.weight) for _ in range(4)])
-    return AugmentationPolicy(
-        p_aug=rng.uniform(*space.p_aug),
-        p_sr=probs[0],
-        p_ri=probs[1],
-        p_rs=probs[2],
-        p_rd=probs[3],
-        alpha_sr=rng.uniform(*space.alpha_sr),
-        alpha_ri=rng.uniform(*space.alpha_ri),
-        alpha_rs=rng.uniform(*space.alpha_rs),
-        alpha_rd=rng.uniform(*space.alpha_rd),
-        n_aug=rng.choice(space.n_aug_choices),
-        eps_ori=rng.uniform(*space.eps_ori),
-        eps_aug=rng.uniform(*space.eps_aug),
-    )
+    """Uniform prior draw: the mix as four normalized Uniform(weight-bounds)
+    draws first, then in field order the continuous dims uniform in bounds
+    and n_aug uniform categorical."""
+    values = dict(zip(_MIX, _renormalize([rng.uniform(*space.weight) for _ in _MIX])))
+    for name in AugmentationPolicy.__dataclass_fields__:
+        if name == "n_aug":
+            values[name] = rng.choice(space.n_aug_choices)
+        elif name not in _MIX:
+            values[name] = rng.uniform(*space.bounds(name))
+    return AugmentationPolicy(**values)
 
 
 def _renormalize(weights: list[float]) -> list[float]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .classifier import TrainConfig, train_runs
 from .errors import DomainError, TrainingError, is_real, require_counts
-from .policy import AugmentationPolicy, PolicySpace, _renormalize, apply_policy, sample_policy
+from .policy import AugmentationPolicy, PolicySpace, apply_policy, sample_policy
 from .textops import SynonymLexicon
 
 __all__ = [
@@ -68,35 +68,10 @@ class SearchConfig:
             raise DomainError(f"gamma: {self.gamma!r} must be a number in (0, 1)")
 
 
-# --- policy <-> 12-vector for the per-dimension density model ------------
-
-_CONT_DIMS = (
-    ("p_aug", "p_aug"),
-    ("p_sr", "weight"),
-    ("p_ri", "weight"),
-    ("p_rs", "weight"),
-    ("p_rd", "weight"),
-    ("alpha_sr", "alpha_sr"),
-    ("alpha_ri", "alpha_ri"),
-    ("alpha_rs", "alpha_rs"),
-    ("alpha_rd", "alpha_rd"),
-    ("eps_ori", "eps_ori"),
-    ("eps_aug", "eps_aug"),
-)  # (policy field, space bounds field); normalized probs double as weights
-
-
-def _policy_to_vector(p: AugmentationPolicy) -> tuple:
-    return tuple(getattr(p, f) for f, _ in _CONT_DIMS) + (p.n_aug,)
-
-
-def _vector_to_policy(vec: tuple, space: PolicySpace) -> AugmentationPolicy:
-    values = {}
-    for (fname, bname), x in zip(_CONT_DIMS, vec[:-1]):
-        lo, hi = getattr(space, bname)
-        values[fname] = min(max(x, lo), hi)
-    probs = _renormalize([values["p_sr"], values["p_ri"], values["p_rs"], values["p_rd"]])
-    values.update(p_sr=probs[0], p_ri=probs[1], p_rs=probs[2], p_rd=probs[3])
-    return AugmentationPolicy(n_aug=int(vec[-1]), **values)
+# the density model's vector: the policy's fields in the order policy.py
+# declares them, the categorical n_aug moved last; normalized mix
+# probabilities double as weights, and PolicySpace gives each field's bounds
+_DIMS = tuple(name for name in AugmentationPolicy.__dataclass_fields__ if name != "n_aug") + ("n_aug",)
 
 
 def _silverman_bandwidth(xs: tuple[float, ...], lo: float, hi: float) -> float:
@@ -132,40 +107,40 @@ def suggest(
     """Next policy to try: a prior draw during startup, a TPE proposal after."""
     ranked = sorted(history, key=lambda r: (-r.score, r.trial_index))
     n_good = math.ceil(cfg.gamma * len(history))
-    good = [_policy_to_vector(r.policy) for r in ranked[:n_good]]
-    bad = [_policy_to_vector(r.policy) for r in ranked[n_good:]]
+    vectors = [tuple(getattr(r.policy, name) for name in _DIMS) for r in ranked]
+    good, bad = vectors[:n_good], vectors[n_good:]
     # during startup, or while the history is too small to split, keep
     # exploring the prior
     if len(history) < cfg.n_startup or not bad:
         return sample_policy(space, rng)
 
-    bounds = [getattr(space, bname) for _, bname in _CONT_DIMS]
+    bounds = [space.bounds(name) for name in _DIMS[:-1]]
+    n_cont = len(bounds)
     # bandwidth from the whole history per dimension: estimating it from the
     # good/bad subsets alone collapses once the good set concentrates, and a
     # collapsed l(x) stops proposing anything outside the current best point
     good_cols, bad_cols = list(zip(*good)), list(zip(*bad))  # one tuple per dimension
-    bw = [_silverman_bandwidth(good_cols[d] + bad_cols[d], *bounds[d]) for d in range(11)]
+    bw = [_silverman_bandwidth(good_cols[d] + bad_cols[d], *bounds[d]) for d in range(n_cont)]
     good_cats, bad_cats = good_cols[-1], bad_cols[-1]
     cat_probs = [_cat_freq(c, good_cats, space.n_aug_choices) for c in space.n_aug_choices]
 
     best_vec, best_ratio = None, -math.inf
     for _ in range(cfg.n_candidates):
         vec = []
-        for d in range(11):
-            lo, hi = bounds[d]
+        for d, (lo, hi) in enumerate(bounds):
             center = good[rng.randrange(len(good))][d]
             vec.append(min(max(rng.gauss(center, bw[d]), lo), hi))
         vec.append(rng.choices(space.n_aug_choices, cat_probs)[0])
 
         ratio = 0.0
-        for d in range(11):
+        for d in range(n_cont):
             ratio += _kde_logpdf(vec[d], good_cols[d], bw[d])
             ratio -= _kde_logpdf(vec[d], bad_cols[d], bw[d])
         ratio += math.log(_cat_freq(vec[-1], good_cats, space.n_aug_choices))
         ratio -= math.log(_cat_freq(vec[-1], bad_cats, space.n_aug_choices))
         if ratio > best_ratio:
             best_vec, best_ratio = tuple(vec), ratio
-    return _vector_to_policy(best_vec, space)
+    return space.policy(dict(zip(_DIMS, best_vec)))
 
 
 # --- objective and the optimization loop ---------------------------------

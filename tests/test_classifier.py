@@ -675,10 +675,9 @@ class TestTrainRuns:
         # run 1 at epoch 2, and separate trainings would raise run 0's error
         examples, val = golden_fixture()
         cfg = replace(TestTrainSemantics.GOLDEN_CFG, learning_rate=5e307)
-        with np.errstate(all="ignore"), pytest.raises(TrainingError) as solo:
+        with pytest.raises(TrainingError) as solo:
             train(examples[:8], val, 3, cfg, random.Random(1))
-        with np.errstate(all="ignore"):
-            fits = train_runs([examples[:8]] * 2, val, 3, cfg, [random.Random(1), random.Random(0)])
+        fits = train_runs([examples[:8]] * 2, val, 3, cfg, [random.Random(1), random.Random(0)])
         # each failed run reports its own error in its place
         assert all(isinstance(fit, TrainingError) for fit in fits)
         assert str(fits[0]) == str(solo.value) == "non-finite training loss at epoch 3"

@@ -553,6 +553,27 @@ class TestCompareCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert {c["method"] for c in report["cells"]} == {"baseline", "eda"}
 
+    def test_diverging_cells_fail_when_warnings_are_errors(self, dataset, tmp_path, capsys):
+        # the suite turns warnings into errors: numpy's overflow warnings on
+        # the way to a non-finite loss must not escape the trainer
+        config = {
+            "dataset_path": str(dataset),
+            "methods": ["baseline", "eda"],
+            "seeds": [0],
+            "n_train": 40,
+            "train": {"learning_rate": 1e308, "max_epochs": 2, "patience": 2},
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [c["failed_seeds"] for c in report["cells"]] == [[0], [0]]
+        for method in ("baseline", "eda"):
+            failure = (tmp_path / "out" / f"failure_{method}_seed0.txt").read_text()
+            assert failure.splitlines()[-1].startswith("softaug.errors.TrainingError: non-finite training loss")
+
     def test_one_label_dataset_is_data_error(self, policy_file, tmp_path, capsys):
         # every cell would fail alike, so the run stops before any cell runs
         path = tmp_path / "one.jsonl"
@@ -606,6 +627,7 @@ class TestCompareCommand:
             ({"n_train": "x"}, "n_train"),
             ({"space": {"eps_aug": [0.8, 0.95]}}, "eps_aug"),
             ({"space": {"n_aug_choices": [0]}}, "n_aug_choices"),
+            ({"space": {"n_aug_choices": [4, 4, 8]}}, "n_aug_choices"),
             ({"space": 5}, "space"),
             ({"space": [1]}, "space"),
             ({"val_fraction": "x"}, "val_fraction"),

@@ -103,6 +103,13 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="line 2"):
             load_dataset(path)
 
+    def test_missing_field_names_the_physical_line(self, tmp_path):
+        # the quoted field spans lines 2-3, so the short row is on line 4
+        path = tmp_path / "ml.csv"
+        path.write_text('text,label\n"a\nb",pos\nonly\n')
+        with pytest.raises(DataError, match="ml.csv line 4: missing field"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("line", ["5", '"text label"', '["text", "label"]'])
     def test_jsonl_line_not_an_object_names_line(self, tmp_path, line):
         path = tmp_path / "d.jsonl"

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the package in src/, and
-prints what it printed when its output was last checked by hand."""
+"""Every demo script runs to completion against the package in src/ with
+warnings as errors and nothing on stderr, and prints what it printed when
+its output was last checked by hand."""
 import hashlib
 import os
 import subprocess
@@ -27,7 +28,7 @@ def run_demo(demo: Path) -> subprocess.CompletedProcess:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     return subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
 
 
@@ -39,6 +40,7 @@ def test_demos_found():
 def test_demo_runs(demo):
     result = run_demo(demo)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

@@ -5,11 +5,12 @@ import statistics
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softaug import search
 from softaug.classifier import EpochStats, TrainConfig, train
 from softaug.errors import DomainError, TrainingError
-from softaug.policy import PolicySpace, apply_policy, sample_policy
+from softaug.policy import _RANGES, AugmentationPolicy, PolicySpace, apply_policy, sample_policy
 from softaug.search import _SEED_RANGE, SearchConfig, TrialRecord, objective, optimize, suggest
 from softaug.textops import load_bundled_lexicon
 
@@ -96,6 +97,87 @@ class TestSuggest:
         ]:
             with pytest.raises(DomainError, match=name):
                 SearchConfig(**{name: value})
+
+
+# The prior draw and the vector-to-policy map as they were written field by
+# field, before PolicySpace held the policy's coordinates: the references the
+# field-table code must match bit for bit, so every golden keeps its draws.
+def reference_renormalize(weights):
+    total = sum(weights)
+    probs = [w / total for w in weights]
+    probs[probs.index(max(probs))] += 1.0 - sum(probs)
+    return probs
+
+
+def reference_sample_policy(space, rng):
+    probs = reference_renormalize([rng.uniform(*space.weight) for _ in range(4)])
+    return AugmentationPolicy(
+        p_aug=rng.uniform(*space.p_aug),
+        p_sr=probs[0],
+        p_ri=probs[1],
+        p_rs=probs[2],
+        p_rd=probs[3],
+        alpha_sr=rng.uniform(*space.alpha_sr),
+        alpha_ri=rng.uniform(*space.alpha_ri),
+        alpha_rs=rng.uniform(*space.alpha_rs),
+        alpha_rd=rng.uniform(*space.alpha_rd),
+        n_aug=rng.choice(space.n_aug_choices),
+        eps_ori=rng.uniform(*space.eps_ori),
+        eps_aug=rng.uniform(*space.eps_aug),
+    )
+
+
+REFERENCE_DIMS = (
+    ("p_aug", "p_aug"), ("p_sr", "weight"), ("p_ri", "weight"), ("p_rs", "weight"),
+    ("p_rd", "weight"), ("alpha_sr", "alpha_sr"), ("alpha_ri", "alpha_ri"),
+    ("alpha_rs", "alpha_rs"), ("alpha_rd", "alpha_rd"), ("eps_ori", "eps_ori"), ("eps_aug", "eps_aug"),
+)
+
+
+def reference_vector_to_policy(vec, space):
+    values = {}
+    for (fname, bname), x in zip(REFERENCE_DIMS, vec[:-1]):
+        lo, hi = getattr(space, bname)
+        values[fname] = min(max(x, lo), hi)
+    probs = reference_renormalize([values["p_sr"], values["p_ri"], values["p_rs"], values["p_rd"]])
+    values.update(p_sr=probs[0], p_ri=probs[1], p_rs=probs[2], p_rd=probs[3])
+    return AugmentationPolicy(n_aug=int(vec[-1]), **values)
+
+
+@st.composite
+def bound_pairs(draw, lo, hi):
+    a, b = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+    return (min(a, b), max(a, b)) if a != b else (lo, hi)
+
+
+@st.composite
+def spaces(draw):
+    """A PolicySpace with every bound drawn inside its _RANGES row (the
+    weights inside (0, 10]) and a few distinct copy counts."""
+    bounds = {name: draw(bound_pairs(lo, hi)) for name, (lo, hi) in _RANGES.items()}
+    weight = draw(bound_pairs(1e-3, 10.0))
+    choices = draw(st.lists(st.integers(1, 16), min_size=1, max_size=5, unique=True))
+    return PolicySpace(weight=weight, n_aug_choices=tuple(choices), **bounds)
+
+
+# values inside and outside every bound, signed zeros and the bounds' own edges included
+coordinates = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([-0.0, 0.0, 0.01, 0.3, 0.5, 0.75, 0.9, 1.0]))
+
+
+class TestPolicyCoordinates:
+    @settings(max_examples=300, deadline=None)
+    @given(spaces(), st.integers(0, 2**64))
+    def test_prior_draw_matches_reference(self, space, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert repr(sample_policy(space, rng).to_dict()) == repr(reference_sample_policy(space, ref_rng).to_dict())
+        assert rng.getstate() == ref_rng.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(spaces(), st.lists(coordinates, min_size=11, max_size=11), st.integers(1, 16))
+    def test_vector_to_policy_matches_reference(self, space, cont, n_aug):
+        vec = (*cont, n_aug)
+        new = space.policy(dict(zip(search._DIMS, vec)))
+        assert repr(new.to_dict()) == repr(reference_vector_to_policy(vec, space).to_dict())
 
 
 class TestObjective:
