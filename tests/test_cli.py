@@ -627,7 +627,6 @@ class TestCompareCommand:
             ({"n_train": "x"}, "n_train"),
             ({"space": {"eps_aug": [0.8, 0.95]}}, "eps_aug"),
             ({"space": {"n_aug_choices": [0]}}, "n_aug_choices"),
-            ({"space": {"n_aug_choices": [4, 4, 8]}}, "n_aug_choices"),
             ({"space": 5}, "space"),
             ({"space": [1]}, "space"),
             ({"val_fraction": "x"}, "val_fraction"),
@@ -663,6 +662,8 @@ class TestCompareCommand:
             ({"fixed": 5}, "fixed"),
             ({"train": [1]}, "train"),
             ({"search": 5}, "search"),
+            # a repeated choice would weigh that value twice in the prior draw
+            ({"space": {"n_aug_choices": [4, 4, 8]}}, "n_aug_choices"),
         ],
     )
     def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):
