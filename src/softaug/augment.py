@@ -94,6 +94,16 @@ def _sample(rng: random.Random, population, k: int) -> list:
     return out
 
 
+def _shuffle(rng: random.Random, x: list):
+    """`random.Random.shuffle(x)`, draw for draw: CPython's Fisher-Yates, `_below`'s loop inline."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        while (j := getrandbits(k)) > i:
+            pass
+        x[i], x[j] = x[j], x[i]
+
+
 def _num_ops(alpha: float, length: int) -> int:
     # round half up so ties resolve identically everywhere
     return max(1, math.floor(alpha * length + 0.5))

@@ -13,17 +13,17 @@ column add their steps there. Training early-stops on validation accuracy.
 One trainer, train_runs, trains k runs in lockstep (train is its k=1 call;
 a search trial trains its runs through it): all runs' texts and the val
 split are indexed in one call, their buckets are mapped to dense columns
-once, and run r owns the r-th copy of those columns in one weight matrix
-that, like the model's, holds one row per class. Each epoch lays out the
+once, and run r owns the r-th block of those columns in one weight matrix
+with one row per column and one column per class. Each epoch lays out the
 runs' shuffled rows step by step and gathers them once; each step then
 takes one contiguous slice, one gather, one softmax and one flat 1-D
-scatter-add (np.add.at at class * n_columns + column) over the batches of
+scatter-add (np.add.at at column * n_class + class) over the batches of
 the runs still going. Each run keeps its own shuffle rng, early-stop state,
 best snapshot and bias step, and every cell gets its adds in the order a
 training of its own would give it, so a run's results equal its own
 training's bit for bit; padding adds exact zeros to its run's bucket-0
-column. A run's model holds only the columns in which its best snapshot
-has a set bit.
+column. A run's model, class-major like a checkpoint, is built from its best
+snapshot when the call returns and holds only the columns with a set bit.
 Training, validation, evaluate and predict share one indexer (_index: rows
 keyed by bucket, so a row depends only on its text) and one scoring routine
 (_logits: the bias plus the first term, then each further term in
@@ -50,6 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .augment import _shuffle
 from .errors import DataError, DomainError, TrainingError, is_real, require_counts
 from .labels import soft_cross_entropy, softmax
 from .policy import AugmentedExample
@@ -197,16 +198,17 @@ def featurize(text: str) -> dict[int, float]:
 def _logits(
     weights: np.ndarray, bias: np.ndarray, ids: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Logits of _index rows, `weights` holding one row per class and one
-    column per id, and `bias` one entry per class or one row per row: the
-    bias joins the first term, then cumsum, not a dot product, adds each
-    further term in the row's order. A row of width 0 gives the bias."""
+    """Logits of _index rows, `weights` holding one row per id and one column
+    per class, `bias` one entry per class or one row per row. The bias joins
+    the first (position, row, class) term, and one add.reduce over positions,
+    not a dot product, adds the rest slice by slice: ((bias + t0) + t1) + ...
+    With the class axis (n_class >= 2) innermost, it never sums pairwise."""
     if ids.shape[1] == 0:
-        return np.broadcast_to(bias, (len(ids), len(weights))).copy()
-    terms = weights.take(ids, axis=1)
-    terms *= counts
-    terms[:, :, 0] += np.atleast_2d(bias).T
-    return terms.cumsum(axis=2, out=terms)[:, :, -1].T
+        return np.broadcast_to(bias, (len(ids), weights.shape[1])).copy()
+    terms = weights.take(ids.T, axis=0)
+    terms *= counts.T[:, :, None]
+    terms[0] += bias
+    return np.add.reduce(terms, axis=0, initial=-0.0)  # from +0.0, a -0.0 sum would read +0.0
 
 
 def _labels(data: list[tuple[str, int]], n_class: int) -> np.ndarray:
@@ -237,15 +239,15 @@ def train_runs(
     [0, n_class) raises DomainError.
 
     The call maps its train and val rows' buckets to dense columns once, and
-    run r trains on columns [r * width, (r + 1) * width) of one weight matrix
-    with one row per class. Each epoch lays out the active runs' shuffled
-    rows step by step, and within a step run by run, and gathers them once;
-    each step then scores and scatters a contiguous slice, the batches of
-    the runs still going, so every run's history, snapshot and rng end state
-    are those of its own training alone. Returns per run (model, history):
-    the best snapshot as a model holding the buckets in which some class's
-    weight has a set bit; or, for a run whose loss went non-finite, the
-    TrainingError its own training would raise, while the others train on."""
+    run r trains on rows [r * width, (r + 1) * width) of one (column, class)
+    weight matrix. Each epoch lays out the active runs' shuffled rows step
+    by step, and within a step run by run, and gathers them once; each step
+    then scores and scatters a contiguous slice, the batches of the runs
+    still going, so every run's history, snapshot and rng end state are
+    those of its own training alone. Returns per run (model, history): the
+    best snapshot as a class-major model holding the buckets in which some
+    class's weight has a set bit; or, for a run whose loss went non-finite,
+    the TrainingError its own training would raise, while the others train on."""
     if not runs or not all(runs):
         raise DomainError("empty training set")
     if not val:
@@ -273,10 +275,9 @@ def train_runs(
     val_columns, val_counts, counts = columns[n:].copy(), counts[n:], counts[:n]
     columns = columns[:n] + np.repeat(np.arange(k) * width, lengths)[:, None]
 
-    weights = np.zeros((n_class, k * width))
+    weights = np.zeros((k * width, n_class))
     biases = np.zeros((k, n_class))
-    best: list = [None] * k
-    best_acc, stale, failed = [-1.0] * k, [0] * k, {}
+    best, best_acc, stale, failed = [None] * k, [-1.0] * k, [0] * k, {}  # best: (block, bias) copies
     histories: list[list[EpochStats]] = [[] for _ in runs]
 
     orders = [list(range(m)) for m in lengths]
@@ -285,7 +286,7 @@ def train_runs(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
             for r in active:
-                rngs[r].shuffle(orders[r])
+                _shuffle(rngs[r], orders[r])
             # the active runs' rows in visiting order, laid out step by step and
             # within a step run by run: a step's batches are one contiguous slice
             step = np.concatenate([np.arange(lengths[r]) // bs for r in active])
@@ -293,8 +294,8 @@ def train_runs(
             rows = np.concatenate([offsets[r] + np.array(orders[r]) for r in active])[plan]
             run_of, step = np.repeat(active, [lengths[r] for r in active])[plan], step[plan]
             ids_e, counts_e, targets_e = columns[rows], counts[rows], targets[rows]
-            # cell (class, column) sits at class * n_columns + column of the flat weights
-            cells_e = ids_e[:, None, :] + np.arange(n_class)[:, None] * (k * width)
+            # cell (column, class) sits at column * n_class + class of the flat weights
+            cells_e = ids_e[:, None, :] * n_class + np.arange(n_class)[:, None]
             scale = cfg.learning_rate / np.minimum(bs, np.array(lengths)[run_of] - step * bs)
             scaled_e = -(scale[:, None] * counts_e)
             probs_e = np.empty_like(targets_e)
@@ -324,15 +325,13 @@ def train_runs(
                 if not np.isfinite(mean_loss):
                     failed[r] = epoch
                     continue
-                block = weights[:, r * width : (r + 1) * width]
+                block = weights[r * width : (r + 1) * width]
                 preds = _logits(block, biases[r], val_columns, val_counts).argmax(axis=1)
                 val_acc = np.count_nonzero(preds == val_y) / len(val)
                 histories[r].append(EpochStats(epoch, mean_loss, val_acc))
                 if val_acc > best_acc[r]:
                     best_acc[r], stale[r] = val_acc, 0
-                    # held: the columns where some class's weight has a set bit, -0.0 too
-                    held = block.view(np.uint64).any(axis=0)
-                    best[r] = LinearModel(buckets[held], block[:, held], biases[r].copy())
+                    best[r] = block.copy(), biases[r].copy()
                 else:
                     stale[r] += 1
             active = [r for r in active if r not in failed and stale[r] < cfg.patience]
@@ -340,9 +339,16 @@ def train_runs(
                 break
     return [
         TrainingError(f"non-finite training loss at epoch {failed[r]}") if r in failed
-        else (best[r], histories[r])
+        else (_snapshot_model(buckets, *best[r]), histories[r])
         for r in range(k)
     ]
+
+
+def _snapshot_model(buckets: np.ndarray, block: np.ndarray, bias: np.ndarray) -> LinearModel:
+    """The class-major model of a (column, class) block: its columns with a set bit, -0.0 too."""
+    weights = block.T.copy()
+    held = weights.view(np.uint64).any(axis=0)
+    return LinearModel(buckets[held], weights.compress(held, axis=1), bias)  # C-contiguous
 
 
 def train(
@@ -375,7 +381,7 @@ def _accuracy(model: LinearModel, ids: np.ndarray, counts: np.ndarray, y: np.nda
     in y; argmax ties break toward the lowest class index. The model's
     _positions table `pos` sends an unheld bucket to an appended +0.0 column."""
     pos = _positions(model.buckets) if pos is None else pos
-    weights = np.hstack([model.weights, np.zeros((model.n_class, 1))])
+    weights = np.vstack([model.weights.T, np.zeros((1, model.n_class))])
     preds = _logits(weights, model.bias, pos[ids], counts).argmax(axis=1)
     return np.count_nonzero(preds == y) / len(y)
 
@@ -388,8 +394,8 @@ def predict(model: LinearModel, text: str) -> np.ndarray:
     at = np.searchsorted(model.buckets, ids[0])
     hit = at < len(model.buckets)
     hit[hit] = model.buckets[at[hit]] == ids[0][hit]
-    weights = np.zeros((model.n_class, ids.shape[1]))
-    weights[:, hit] = model.weights[:, at[hit]]
+    weights = np.zeros((ids.shape[1], model.n_class))
+    weights[hit] = model.weights[:, at[hit]].T
     return softmax(_logits(weights, model.bias, np.arange(ids.shape[1])[None], counts)[0])
 
 
@@ -411,15 +417,21 @@ _CHECKPOINT_VERSION = 2
 
 @contextmanager
 def _atomic_write(path):
-    """A binary handle to `path`.tmp, renamed over `path` when the block ends:
-    a write that fails leaves an existing file as it was, and no .tmp file."""
-    tmp = Path(f"{path}.tmp")
+    """A binary handle to `path`.tmp, renamed over `path` at the block's end: a
+    failed write leaves no .tmp file and the old file as it was, and a failed
+    open or rename names `path`."""
+    tmp, f = Path(f"{path}.tmp"), None
     try:
         with open(tmp, "wb") as f:
             yield f
         os.replace(tmp, path)
+    except OSError as e:
+        if e.filename != str(tmp):  # raised in the block
+            raise
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from e
     finally:
-        tmp.unlink(missing_ok=True)
+        if f is not None:  # a failed open created nothing
+            tmp.unlink(missing_ok=True)
 
 
 def save_model(model: LinearModel, path):

@@ -16,6 +16,7 @@ from softaug.augment import (
     PUNCTUATION_MARKS,
     _below,
     _sample,
+    _shuffle,
     aeda,
     eda,
     random_deletion,
@@ -441,6 +442,27 @@ class TestSample:
         n, k = sizes
         rng, ref_rng = random.Random(seed), random.Random(seed)
         assert _sample(rng, population(n), k) == ref_rng.sample(population(n), k)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+# list lengths 0-2,100, weighted toward 2**j - 1, 2**j and 2**j + 1, where
+# a swap's draw takes one more bit
+shuffle_lengths = st.one_of(
+    st.builds(lambda j, d: 2**j + d, st.integers(0, 11), st.sampled_from([-1, 0, 1])), st.integers(0, 2100)
+)
+
+
+class TestShuffle:
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32), st.lists(shuffle_lengths, min_size=1, max_size=3))
+    def test_matches_shuffle(self, seed, lengths):
+        # calls in a row on one rng, as the trainer's epochs make them
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for n in lengths:
+            x, ref = [f"w{i}" for i in range(n)], [f"w{i}" for i in range(n)]
+            _shuffle(rng, x)
+            ref_rng.shuffle(ref)
+            assert x == ref
         assert rng.getstate() == ref_rng.getstate()
 
 

@@ -347,6 +347,48 @@ def assert_same_model(a, b):
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
+def sequential_logits(weights, bias, ids, counts):
+    """Reference _logits, row by row and class by class in Python floats:
+    the bias plus the first term, then each further term in the row's
+    order. `weights` holds one row per id and one column per class."""
+    bias = np.broadcast_to(bias, (len(ids), weights.shape[1])).tolist()
+    w = weights.tolist()
+    out = []
+    for row_bias, row_ids, row_counts in zip(bias, ids.tolist(), counts.tolist()):
+        logits = []
+        for c, z in enumerate(row_bias):
+            for i, n in zip(row_ids, row_counts):
+                z += w[i][c] * n
+            logits.append(z)
+        out.append(logits)
+    return np.array(out).reshape(len(ids), weights.shape[1])
+
+
+class TestLogits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_class=st.integers(2, 4), n_rows=st.one_of(st.just(1), st.integers(1, 40)),
+        width=st.integers(0, 70), per_row_bias=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_class=2, n_rows=1, width=70, per_row_bias=False, seed=0)
+    def test_matches_sequential_sum(self, n_class, n_rows, width, per_row_bias, seed):
+        # weights spread over 1e-3..1e3 with both signs, and whole columns of
+        # +0.0 or -0.0: a pairwise or reordered sum would change some bits
+        rng = np.random.default_rng(seed)
+        n_ids = int(rng.integers(1, 90))
+        weights = rng.choice([-1.0, 1.0], (n_ids, n_class)) * 10.0 ** rng.uniform(-3, 3, (n_ids, n_class))
+        weights[rng.random(n_ids) < 0.15] = -0.0
+        weights[rng.random(n_ids) < 0.1] = 0.0
+        bias_shape = (n_rows, n_class) if per_row_bias else (n_class,)
+        bias = rng.choice([-1.0, 1.0], bias_shape) * 10.0 ** rng.uniform(-3, 3, bias_shape)
+        bias[rng.random(bias_shape) < 0.1] = -0.0
+        ids = rng.integers(0, n_ids, (n_rows, width))
+        counts = rng.integers(0, 4, (n_rows, width)).astype(float)  # 0: padding
+        got = classifier._logits(weights, bias, ids, counts)
+        ref = sequential_logits(weights, bias, ids, counts)
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
 def dense_train(train_examples, val, n_class, cfg, rng, batched=False):
     """Reference for `train`: the per-feature loop over dense
     (n_class, 2^18) weights, returning the best (weights, bias) and the
@@ -1003,6 +1045,21 @@ class TestCheckpoint:
         # stored, not deflated
         with zipfile.ZipFile(path) as archive:
             assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_trained_models_keep_the_checkpoint_form(self, tmp_path):
+        # the trainer keeps (column, class) blocks; the models it returns are
+        # class-major, as a checkpoint stores them, for one run and for several
+        examples, val = golden_fixture()
+        cfg = TestTrainSemantics.GOLDEN_CFG
+        fits = [train(examples, val, 3, cfg, random.Random(0))]
+        fits += train_runs([examples[:12], examples[12:]], val, 3, cfg, [random.Random(1), random.Random(2)])
+        for i, (model, _) in enumerate(fits):
+            assert model.weights.dtype == np.float64 and model.weights.flags.c_contiguous
+            assert model.weights.shape == (3, len(model.buckets))
+            assert model.buckets.dtype == np.int64 and (model.buckets[1:] > model.buckets[:-1]).all()
+            path = tmp_path / f"model{i}.npz"
+            save_model(model, path)
+            assert_same_model(load_model(path), model)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -214,6 +214,20 @@ class TestExitCodes:
         with pytest.raises(NotImplementedError, match="unfinished command"):
             main(["eval", "--model", "m.npz", "--input", "d.csv"])
 
+    @pytest.mark.parametrize("command, name", [("augment", "x.jsonl"), ("train", "m.npz")])
+    @pytest.mark.parametrize("in_the_way", [False, True], ids=["missing-directory", "directory-in-the-way"])
+    def test_unwritable_output_is_named(self, dataset, policy_file, tmp_path, capsys, command, name, in_the_way):
+        # the temp file cannot be opened in a missing directory, nor renamed
+        # over a directory: either error names the output, not its temp file
+        out = tmp_path / name if in_the_way else tmp_path / "missing" / name
+        if in_the_way:
+            out.mkdir()
+        argv = [command, "--input", str(dataset), "--policy", str(policy_file), "--seed", "0"]
+        assert main(argv + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.endswith(f": '{out}'\n") and ".tmp" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 def _choices(*names):
     # older CPython releases list an invalid choice's options with repr(),
