@@ -94,7 +94,7 @@ def _sample(rng: random.Random, population, k: int) -> list:
     return out
 
 
-def _shuffle(rng: random.Random, x: list):
+def _shuffle(rng: random.Random, x: list) -> None:
     """`random.Random.shuffle(x)`, draw for draw: CPython's Fisher-Yates, `_below`'s loop inline."""
     getrandbits = rng.getrandbits
     for i in range(len(x) - 1, 0, -1):

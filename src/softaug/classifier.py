@@ -348,7 +348,7 @@ def _snapshot_model(buckets: np.ndarray, block: np.ndarray, bias: np.ndarray) ->
     """The class-major model of a (column, class) block: its columns with a set bit, -0.0 too."""
     weights = block.T.copy()
     held = weights.view(np.uint64).any(axis=0)
-    return LinearModel(buckets[held], weights.compress(held, axis=1), bias)  # C-contiguous
+    return LinearModel(buckets[held], weights.compress(held, axis=1), bias)  # C order; [:, held] is F
 
 
 def train(
