@@ -199,10 +199,10 @@ def _logits(
     weights: np.ndarray, bias: np.ndarray, ids: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Logits of _index rows, `weights` holding one row per id and one column
-    per class, `bias` one entry per class or one row per row. The bias joins
-    the first (position, row, class) term, and one add.reduce over positions,
-    not a dot product, adds the rest slice by slice: ((bias + t0) + t1) + ...
-    With the class axis (n_class >= 2) innermost, it never sums pairwise."""
+    per class, `bias` one entry per class or one row per row. Over (position,
+    row, class) terms, the bias joins the first, then add.reduce, not a dot
+    product, adds the rest one position slice at a time: ((bias + t0) + t1) + ...
+    numpy sums pairwise only along its inner loop, kept on the class axis (n_class >= 2)."""
     if ids.shape[1] == 0:
         return np.broadcast_to(bias, (len(ids), weights.shape[1])).copy()
     terms = weights.take(ids.T, axis=0)
