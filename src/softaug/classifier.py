@@ -388,15 +388,17 @@ def _accuracy(model: LinearModel, ids: np.ndarray, counts: np.ndarray, y: np.nda
 
 def predict(model: LinearModel, text: str) -> np.ndarray:
     """Class probabilities: softmax(weights . featurize(text) + bias). The
-    text's buckets are found in model.buckets by binary search, and a bucket
-    the model does not hold reads +0.0: no table of N_BUCKETS is built."""
+    text's buckets are found in model.buckets by binary search, and only the
+    held ones are scored, as evaluate does: an unheld bucket's +0.0 could
+    only turn a -0.0 logit into +0.0, which softmax cancels. No table of
+    N_BUCKETS is built, and the held columns are gathered before _logits,
+    which takes from them faster than from the strided model.weights.T."""
     ids, counts = _index([text])
     at = np.searchsorted(model.buckets, ids[0])
     hit = at < len(model.buckets)
     hit[hit] = model.buckets[at[hit]] == ids[0][hit]
-    weights = np.zeros((ids.shape[1], model.n_class))
-    weights[hit] = model.weights[:, at[hit]].T
-    return softmax(_logits(weights, model.bias, np.arange(ids.shape[1])[None], counts)[0])
+    rows = model.weights.T[at[hit]]
+    return softmax(_logits(rows, model.bias, np.arange(len(rows))[None], counts[:, hit])[0])
 
 
 def evaluate(model: LinearModel, data: list[tuple[str, int]]) -> float:

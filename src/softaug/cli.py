@@ -9,11 +9,12 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 from .classifier import _atomic_write, evaluate, load_model, save_model, train
-from .datasets import load_dataset, make_val_split
-from .errors import DataError, SoftAugError, TrainingError
+from .datasets import _read_json, load_dataset, make_val_split
+from .errors import SoftAugError, TrainingError, from_json
 from .harness import ExperimentConfig, render_report, run_experiment, search_policy, seed_splits
 from .policy import AugmentationPolicy, apply_policy
 from .search import SearchConfig
@@ -60,24 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path, what: str, parse):
-    """parse() of the JSON in the file at `path`. A file that cannot be
-    opened, is not UTF-8 or not JSON, nests too deep for the parser, or
-    lacks a key or holds a value of the wrong type raises DataError naming it."""
-    try:
-        with open(path, encoding="utf-8-sig") as f:
-            return parse(json.load(f))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as e:
-        raise DataError(f"cannot read {what} {path}: {e}")
-
-
-def _read_policy(path) -> AugmentationPolicy:
-    return _read_json(path, "policy file", AugmentationPolicy.from_dict)
-
-
 def _cmd_augment(args) -> int:
     data = load_dataset(args.input, args.format)
-    policy = _read_policy(args.policy)
+    policy = _read_json(args.policy, "policy file", partial(from_json, AugmentationPolicy, name="policy"))
     lex, rng = load_lexicon(args.lexicon), random.Random(args.seed)
     examples = apply_policy(data.split("train"), data.n_class, policy, lex, rng)
     # the whole file is built, then swapped in: a failure leaves the old output
@@ -105,7 +91,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_train(args) -> int:
     data = load_dataset(args.input, args.format)
-    policy = _read_policy(args.policy)
+    policy = _read_json(args.policy, "policy file", partial(from_json, AugmentationPolicy, name="policy"))
     cfg = ExperimentConfig()
     rng = random.Random(args.seed)
     if "val" in data.splits:
@@ -131,8 +117,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    report = run_experiment(_read_json(args.config, "config", ExperimentConfig.from_dict))
-    print(render_report(report), end="")
+    cfg = _read_json(args.config, "config", partial(from_json, ExperimentConfig, name="config"))
+    print(render_report(run_experiment(cfg)), end="")
     return 0
 
 

@@ -60,7 +60,7 @@ def load_dataset(path, fmt: str | None = None, labels: list[str] | None = None) 
     if labels is not None:
         _check_label_names(labels, "labels")
     elif sidecar.exists():
-        labels = _read_label_names(sidecar)
+        labels = _read_json(sidecar, "label names", lambda names: _label_names(names, sidecar.name))
     fixed_labels = labels is not None
     label_map = {lbl: i for i, lbl in enumerate(labels or ())}
 
@@ -134,20 +134,32 @@ def _read_rows(path: Path, fmt: str) -> list[tuple[str, str, str]]:
     return rows
 
 
-def _read_label_names(sidecar: Path) -> list[str]:
-    """The label names of a `.labels.json` sidecar: a JSON list of distinct
-    strings, in class-index order."""
+def _read_json(path, what: str, parse):
+    """parse() of the JSON document in the file at `path`. A file that
+    cannot be opened, is not UTF-8 or not JSON, or nests too deep for the
+    parser raises DataError naming it as `what`; parse() checks the rest."""
     try:
-        names = json.loads(sidecar.read_text("utf-8-sig"))
-    except json.JSONDecodeError as e:
-        raise DataError(f"{sidecar.name}: invalid JSON ({e.msg})")
-    except RecursionError:
-        raise DataError(f"{sidecar.name}: invalid JSON (nested too deep)") from None
+        with open(path, encoding="utf-8-sig") as f:
+            doc = json.load(f)
+    except OSError as e:
+        reason = str(e)
     except UnicodeDecodeError as e:
-        raise DataError(f"{sidecar.name}: not UTF-8 text ({e})") from None
+        reason = f"not UTF-8 text ({e})"
+    except json.JSONDecodeError as e:
+        reason = f"invalid JSON ({e})"
+    except RecursionError:
+        reason = "invalid JSON (nested too deep)"
+    else:
+        return parse(doc)
+    raise DataError(f"cannot read {what} {path}: {reason}")
+
+
+def _label_names(names, source: str) -> list[str]:
+    """`names` if they are a JSON list of distinct strings, in class-index
+    order; else DataError naming `source`."""
     if not isinstance(names, list):
-        raise DataError(f"{sidecar.name}: expected a JSON list of label names")
-    _check_label_names(names, sidecar.name)
+        raise DataError(f"{source}: expected a JSON list of label names")
+    _check_label_names(names, source)
     return names
 
 

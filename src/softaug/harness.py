@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .classifier import TrainConfig, _accuracy, _atomic_write, _index, _labels, train_runs
 from .datasets import Example, LabeledDataset, load_dataset, make_synthetic_reviews, make_val_split, subsample
-from .errors import DataError, DomainError, SoftAugError, TrainingError, is_int, is_real, require_counts
+from .errors import DataError, DomainError, SoftAugError, TrainingError, from_json, is_int, is_real, require_counts
 from .policy import AugmentationPolicy, AugmentedExample, PolicySpace, apply_policy
 from .search import _SEED_RANGE, SearchConfig, optimize
 from .textops import SynonymLexicon, load_lexicon
@@ -77,6 +77,26 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        """The one check of a config, a JSON one included: `methods` and
+        `seeds` may be lists, stored as tuples, and `fixed`, `search`,
+        `space` and `train` JSON objects of their fields, stored as their
+        config types. A value of another shape raises DomainError naming it."""
+        for name in ("methods", "seeds"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise DomainError(f"{name}: {value!r} must be a list")
+            setattr(self, name, tuple(value))
+        if isinstance(self.search, dict):
+            overridden = [k for k in ("seed", "fix_smoothing_to_zero", "train") if k in self.search]
+            if overridden:
+                raise DomainError(
+                    f"search.{overridden[0]}: the harness sets the search seed and smoothing "
+                    'per (method, seed), and training comes from the top-level "train"'
+                )
+        for name, cls in (("fixed", FixedMethodParams), ("search", SearchConfig), ("space", PolicySpace),
+                          ("train", TrainConfig)):
+            if not isinstance(getattr(self, name), cls):
+                setattr(self, name, from_json(cls, getattr(self, name), name))
         require_counts(self, "n_train")
         if not all(is_int(s) for s in self.seeds):
             raise DomainError(f"seeds: {list(self.seeds)} must be integers")
@@ -93,38 +113,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (str, type(None))):
                 raise DomainError(f"{name}: {value!r} must be a string or null")
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        """A `d` that is not a dict, `methods` or `seeds` that is not a
-        list, or `fixed`, `search` or `train` that is not a dict raises
-        DomainError naming it."""
-        if not isinstance(d, dict):
-            raise DomainError(f"config: {d!r} is not an object of experiment fields")
-        kwargs = dict(d)
-        for key in ("methods", "seeds"):
-            if key in kwargs:
-                if not isinstance(kwargs[key], (list, tuple)):
-                    raise DomainError(f"{key}: {kwargs[key]!r} must be a list")
-                kwargs[key] = tuple(kwargs[key])
-        for key in ("fixed", "search", "train"):
-            if not isinstance(kwargs.get(key, {}), dict):
-                raise DomainError(f"{key}: {kwargs[key]!r} is not an object of {key} fields")
-        if "fixed" in kwargs:
-            kwargs["fixed"] = FixedMethodParams(**kwargs["fixed"])
-        if "search" in kwargs:
-            overridden = [k for k in ("seed", "fix_smoothing_to_zero", "train") if k in kwargs["search"]]
-            if overridden:
-                raise DomainError(
-                    f"search.{overridden[0]}: the harness sets the search seed and smoothing "
-                    'per (method, seed), and training comes from the top-level "train"'
-                )
-            kwargs["search"] = SearchConfig(**kwargs["search"])
-        if "space" in kwargs:
-            kwargs["space"] = PolicySpace.from_dict(kwargs["space"])
-        if "train" in kwargs:
-            kwargs["train"] = TrainConfig(**kwargs["train"])
-        return ExperimentConfig(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ class AugmentationPolicy:
 
     def __post_init__(self):
         """The one check of the invariants: every construction path
-        (from_dict, sample_policy, dataclasses.replace, ...) comes here, so
+        (a policy file, sample_policy, dataclasses.replace, ...) comes here, so
         a policy that exists is valid. Every violated invariant is named by
         field in the DomainError and listed in its `violations`. A field
         that is not a finite real number (NaN, infinities and booleans
@@ -92,10 +92,6 @@ class AugmentationPolicy:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "AugmentationPolicy":
-        return AugmentationPolicy(**{k: d[k] for k in AugmentationPolicy.__dataclass_fields__})
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
@@ -117,37 +113,28 @@ class PolicySpace:
     eps_aug: tuple[float, float] = (0.0, 0.75)
 
     def __post_init__(self):
-        # every draw must be a valid policy; mix weights are renormalized, so > 0
+        """The one check of a space, a JSON one included: each bound is a
+        [lo, hi] pair of finite numbers (booleans are not), stored as a
+        float tuple, and n_aug_choices a list of distinct integers >= 1,
+        stored as a tuple. Every draw must be a valid policy, and the mix
+        weights are renormalized, so their bounds are > 0."""
+        for name in ("weight", *_RANGES):
+            value = getattr(self, name)
+            if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_real, value))):
+                raise DomainError(f"{name}: {value!r} must be a [lo, hi] pair of finite numbers")
+            object.__setattr__(self, name, (float(value[0]), float(value[1])))
         lo, hi = self.weight
-        if not 0 < lo < hi < float("inf"):
-            raise DomainError(f"weight: bounds [{lo}, {hi}] need 0 < lo < hi < inf")
+        if not 0 < lo < hi:
+            raise DomainError(f"weight: bounds [{lo}, {hi}] need 0 < lo < hi")
         for name, (rlo, rhi) in _RANGES.items():
             lo, hi = getattr(self, name)
             if not rlo <= lo < hi <= rhi:
                 raise DomainError(f"{name}: bounds [{lo}, {hi}] need {rlo} <= lo < hi <= {rhi}")
         choices = self.n_aug_choices
-        if not choices or not all(is_int(n) and n >= 1 for n in choices) or len(set(choices)) < len(choices):
-            raise DomainError(f"n_aug_choices: {list(choices)} need distinct integers >= 1")
-
-    @staticmethod
-    def from_dict(d: dict) -> "PolicySpace":
-        """A value that is not a [lo, hi] number pair (or a list, for
-        n_aug_choices) raises DomainError, as does a `d` that is not a dict."""
-        if not isinstance(d, dict):
-            raise DomainError(f"space: {d!r} is not an object of per-field bounds")
-        kwargs = {}
-        for key, val in d.items():
-            try:
-                if key == "n_aug_choices":
-                    kwargs[key] = tuple(val)
-                else:
-                    lo, hi = val
-                    if not (is_real(lo) and is_real(hi)):
-                        raise TypeError("bounds must be finite numbers")
-                    kwargs[key] = (float(lo), float(hi))
-            except (TypeError, ValueError) as e:
-                raise DomainError(f"space.{key}: cannot read {val!r} ({e})") from e
-        return PolicySpace(**kwargs)
+        if (not isinstance(choices, (list, tuple)) or not choices
+                or not all(is_int(n) and n >= 1 for n in choices) or len(set(choices)) < len(choices)):
+            raise DomainError(f"n_aug_choices: {choices!r} need distinct integers >= 1")
+        object.__setattr__(self, "n_aug_choices", tuple(choices))
 
     def bounds(self, name: str) -> tuple[float, float]:
         """The bounds of a continuous policy field; the four mix weights share `weight`."""

@@ -1,5 +1,7 @@
-"""The benchmark's traced run reads these package names: a change that
-removes or renames one fails here, not in the per-layer benchmark run."""
+"""The benchmark's traced run reads these package names, and each of its
+workloads runs one checked operation: a change that removes or renames one
+of them, or breaks a workload's path through the package, fails here, not
+in the benchmark run."""
 import importlib
 import inspect
 import random
@@ -13,7 +15,7 @@ sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
 
 from layers import TRACED  # noqa: E402
 from softaug import classifier, labels, policy  # noqa: E402
-from workloads import Score  # noqa: E402
+from workloads import Augment, Compare, Score  # noqa: E402
 
 
 @pytest.mark.parametrize("span, module, attribute", [t[:3] for t in TRACED], ids=[t[0] for t in TRACED])
@@ -58,3 +60,14 @@ def test_score_round_trip_check_passes(tmp_path):
     score.prepare(0)
     score.op(0)
     assert score.check(0)
+
+
+@pytest.mark.parametrize("workload", [Compare, Augment], ids=["compare", "augment"])
+def test_one_checked_operation(workload, tmp_path):
+    # compare reads its config file and label sidecar through cli.main;
+    # augment's check reads labels.is_soft_label
+    run = workload(1, tmp_path)
+    run.setup()
+    run.prepare(0)
+    run.op(0)
+    assert run.check(0)

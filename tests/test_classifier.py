@@ -226,6 +226,38 @@ class TestPredict:
             tracemalloc.stop()
         assert peak < 512 * 2**10
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=TEXTS, held=st.sets(st.integers(0, 15)), n_class=st.integers(2, 4),
+        signed_zeros=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(text="", held={3}, n_class=2, signed_zeros=0.0, seed=0)
+    @example(text="a b a c", held={0, 5, 9}, n_class=3, signed_zeros=1.0, seed=1)
+    def test_matches_the_zero_filled_gather(self, text, held, n_class, signed_zeros, seed):
+        # -0.0 weights and zero biases: an unheld bucket's +0.0 term could
+        # turn a -0.0 logit into +0.0, which softmax must cancel
+        rng = np.random.default_rng(seed)
+        buckets = np.array(sorted(held), np.int64)
+        weights = rng.normal(size=(n_class, len(buckets)))
+        weights[:, rng.random(len(buckets)) < signed_zeros] = -0.0
+        model = LinearModel(buckets, weights, rng.choice([-0.0, 0.0, 1.5], n_class))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifier, "N_BUCKETS", 16)
+            got, ref = predict(model, text), zero_filled_predict(model, text)
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
+def zero_filled_predict(model, text):
+    """Reference `predict`: every key of the text scored, a bucket the model
+    does not hold through a +0.0 row of a zero-filled (width, n_class) gather."""
+    ids, counts = classifier._index([text])
+    at = np.searchsorted(model.buckets, ids[0])
+    hit = at < len(model.buckets)
+    hit[hit] = model.buckets[at[hit]] == ids[0][hit]
+    weights = np.zeros((ids.shape[1], model.n_class))
+    weights[hit] = model.weights[:, at[hit]].T
+    return softmax(classifier._logits(weights, model.bias, np.arange(ids.shape[1])[None], counts)[0])
+
 
 class TestTrain:
     def test_separable_toy_reaches_full_accuracy(self):

@@ -7,12 +7,14 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from softaug import cli, harness, search
 from softaug.classifier import N_BUCKETS, _atomic_write, load_model, save_model
 from softaug.cli import main
 from softaug.errors import TrainingError
-from softaug.policy import AugmentationPolicy, AugmentedExample
+from softaug.policy import AugmentationPolicy, AugmentedExample, PolicySpace
 
 POLICY = AugmentationPolicy(
     p_aug=1.0, p_sr=0.25, p_ri=0.25, p_rs=0.25, p_rd=0.25,
@@ -191,6 +193,24 @@ class TestAugmentCommand:
         assert "p_aug: True is not a number" in err and "eps_ori: False is not a number" in err
         assert not (tmp_path / "o.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (dict(POLICY.to_dict(), p_aug2=0.5), "policy.p_aug2: unknown key, expected one of p_aug, "),
+            ({k: v for k, v in POLICY.to_dict().items() if k != "eps_aug"}, "policy.eps_aug: missing"),
+            ([POLICY.to_dict()], "policy: [{"),
+        ],
+        ids=["extra", "missing", "list"],
+    )
+    def test_policy_file_keys(self, dataset, tmp_path, capsys, doc, message):
+        # an extra key was ignored before, so a misspelt field went unnoticed
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        argv = ["augment", "--input", str(dataset), "--policy", str(tmp_path / "p.json"),
+                "--seed", "0", "--output", str(tmp_path / "o.jsonl")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_usage_error(self):
         assert main(["augment", "--seed", "1"]) == 1
         assert main(["frobnicate"]) == 1
@@ -309,7 +329,7 @@ class TestSearchCommand:
         ])
         assert code == 0
         best = json.loads((out / "best_policy.json").read_text())
-        AugmentationPolicy.from_dict(best)  # parses as a full policy
+        AugmentationPolicy(**best)  # parses as a full policy
         trials = [json.loads(l) for l in (out / "trials.jsonl").read_text().splitlines()]
         assert len(trials) == 3
 
@@ -678,6 +698,10 @@ class TestCompareCommand:
             ({"search": 5}, "search"),
             # a repeated choice would weigh that value twice in the prior draw
             ({"space": {"n_aug_choices": [4, 4, 8]}}, "n_aug_choices"),
+            # a key no config type has, named under its object
+            ({"train": {"patiense": 3}}, "train.patiense: unknown key"),
+            ({"seed": 3}, "config.seed: unknown key"),
+            ({"space": {"n_aug": [1, 2]}}, "space.n_aug: unknown key"),
         ],
     )
     def test_malformed_config_is_domain_error(self, tmp_path, capsys, config, field):
@@ -724,3 +748,89 @@ def test_json_nested_too_deep_is_data_error(dataset, policy_file, tmp_path, caps
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+
+_SCALAR_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=6),
+}
+_JSON = st.recursive(
+    st.one_of(*_SCALAR_KINDS.values()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# every kind of JSON value, nested ones included
+JSON_KINDS = {
+    **_SCALAR_KINDS,
+    "list": st.lists(_JSON, max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), _JSON, max_size=3),
+}
+# (object, key) -> the kinds some valid value of the key has; None is the
+# top level of a compare config, "policy" a policy file
+JSON_FIELDS = {
+    **{(None, key): {"null", "string"} for key in ("dataset_path", "dataset_format", "lexicon_path", "output_dir")},
+    (None, "n_train"): {"int"},
+    (None, "methods"): {"list"},
+    (None, "seeds"): {"list"},
+    (None, "val_fraction"): {"float"},
+    **{(None, key): {"object"} for key in ("fixed", "search", "space", "train")},
+    ("fixed", "alpha"): {"int", "float"},
+    ("fixed", "n_aug"): {"int"},
+    ("fixed", "eps_aug"): {"int", "float"},
+    **{("search", key): {"int"} for key in ("n_trials", "n_startup", "n_candidates", "runs_per_trial")},
+    ("search", "gamma"): {"float"},
+    **{("space", key): {"list"} for key in PolicySpace.__dataclass_fields__},
+    ("train", "learning_rate"): {"int", "float"},
+    **{("train", key): {"int"} for key in ("batch_size", "max_epochs", "patience")},
+    **{("policy", key): {"int"} if key == "n_aug" else {"int", "float"} for key in POLICY.to_dict()},
+}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(sorted(JSON_FIELDS, key=str)), data=st.data())
+def test_json_value_of_a_wrong_kind_is_named(dataset, tmp_path, capsys, field, data):
+    # any JSON value of a kind the field never takes, in a compare config, one
+    # of its nested objects or a policy file: exit 2 and one line naming it
+    where, key = field
+    value = data.draw(st.sampled_from(sorted(JSON_KINDS.keys() - JSON_FIELDS[field])).flatmap(JSON_KINDS.get))
+    path = tmp_path / "input.json"
+    if where == "policy":
+        path.write_text(json.dumps(dict(POLICY.to_dict(), **{key: value})))
+        argv = ["augment", "--input", str(dataset), "--policy", str(path), "--seed", "0",
+                "--output", str(tmp_path / "o.jsonl")]
+    else:
+        config = {"methods": ["ours"], "seeds": [0]}
+        config.update({key: value} if where is None else {where: {key: value}})
+        path.write_text(json.dumps(config))
+        argv = ["compare", "--config", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "patched, argv",
+    [
+        (search.SearchConfig, ["compare", "--config", "{config}"]),
+        (AugmentationPolicy, ["augment", "--input", "{dataset}", "--policy", "{policy}", "--seed", "0",
+                              "--output", "{out}"]),
+    ],
+    ids=["config", "policy"],
+)
+def test_bug_in_a_constructor_propagates(dataset, policy_file, tmp_path, monkeypatch, capsys, patched, argv):
+    # only the reading of the file maps to DataError: a TypeError from
+    # building what it holds is a bug, not a malformed file
+    def broken(self):
+        raise TypeError("forced bug")
+
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"search": {"n_trials": 4, "n_startup": 2}}))
+    monkeypatch.setattr(patched, "__post_init__", broken)
+    paths = {"config": config, "dataset": dataset, "policy": policy_file, "out": tmp_path / "o.jsonl"}
+    with pytest.raises(TypeError, match="forced bug"):
+        main([arg.format(**paths) for arg in argv])
+    assert "cannot read" not in capsys.readouterr().err

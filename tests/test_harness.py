@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from softaug import harness, search
 from softaug.classifier import TrainConfig, evaluate, train_runs
 from softaug.datasets import LabeledDataset, make_synthetic_reviews
-from softaug.errors import DomainError, TrainingError
+from softaug.errors import DomainError, TrainingError, from_json
 from softaug.harness import (
     EvalReport,
     ExperimentConfig,
@@ -23,7 +24,7 @@ from softaug.harness import (
     run_method,
     seed_splits,
 )
-from softaug.policy import apply_policy
+from softaug.policy import PolicySpace, apply_policy
 from softaug.search import SearchConfig
 from softaug.textops import load_bundled_lexicon
 
@@ -445,7 +446,7 @@ class TestRunExperiment:
         with pytest.raises(DomainError):
             ExperimentConfig(methods=("nope",))
         with pytest.raises(DomainError, match="methods"):
-            ExperimentConfig.from_dict({"methods": ["baseline", "baseline"]})
+            from_json(ExperimentConfig, {"methods": ["baseline", "baseline"]}, "config")
         for n_train in ("x", 0, 2.5, None, True):
             with pytest.raises(DomainError, match="n_train"):
                 ExperimentConfig(n_train=n_train)
@@ -457,16 +458,44 @@ class TestRunExperiment:
                 ExperimentConfig(val_fraction=val_fraction)
 
     @pytest.mark.parametrize(
+        "kwargs",
+        [{"search": None}, {"train": [1]}, {"fixed": "x"}, {"space": 5}, {"methods": "ours"}, {"seeds": 0}],
+        ids=["search-null", "train-list", "fixed-string", "space-int", "methods-string", "seeds-int"],
+    )
+    def test_constructor_checks_field_shapes(self, kwargs):
+        # checked at construction, not when run_experiment first reads the field
+        [(name, value)] = kwargs.items()
+        with pytest.raises(DomainError, match=f"^{name}: {re.escape(repr(value))} "):
+            ExperimentConfig(**kwargs)
+
+    def test_constructor_builds_json_objects(self):
+        cfg = ExperimentConfig(
+            methods=["baseline"], seeds=[3], fixed={"alpha": 0.2}, search={"n_trials": 4, "n_startup": 2},
+            space={"p_aug": [0, 1]}, train={"max_epochs": 2, "patience": 1},
+        )
+        assert cfg.methods == ("baseline",) and cfg.seeds == (3,)
+        assert cfg.fixed == FixedMethodParams(alpha=0.2)
+        assert cfg.search == SearchConfig(n_trials=4, n_startup=2)
+        assert cfg.space == PolicySpace(p_aug=(0.0, 1.0))
+        assert cfg.train == TrainConfig(max_epochs=2, patience=1)
+        # the nested type's own check runs: one epoch is below the default patience of 5
+        with pytest.raises(DomainError, match=r"^patience: 5 must be <= max_epochs \(1\)$"):
+            ExperimentConfig(train={"max_epochs": 1})
+        with pytest.raises(DomainError, match=r"^train\.patiense: unknown key"):
+            ExperimentConfig(train={"patiense": 1})
+
+    @pytest.mark.parametrize(
         "params, field_name",
         [({"alpha": 0.6}, "alpha"), ({"n_aug": 0}, "n_aug"), ({"eps_aug": 0.95}, "eps_aug")],
     )
     def test_fixed_params_validated(self, params, field_name):
         # baseline and aeda run as policies too, so their values are bounded
         with pytest.raises(DomainError, match=f"fixed.{field_name}"):
-            ExperimentConfig.from_dict({"methods": ["baseline", "aeda"], "fixed": params})
+            from_json(ExperimentConfig, {"methods": ["baseline", "aeda"], "fixed": params}, "config")
 
     def test_config_from_dict_round_trip(self):
-        cfg = ExperimentConfig.from_dict(
+        cfg = from_json(
+            ExperimentConfig,
             {
                 "n_train": 50,
                 "methods": ["baseline"],
@@ -475,7 +504,8 @@ class TestRunExperiment:
                 "search": {"n_trials": 4, "n_startup": 2},
                 "space": {"p_aug": [0.2, 0.9], "n_aug_choices": [1, 2]},
                 "train": {"max_epochs": 5},
-            }
+            },
+            "config",
         )
         assert cfg.fixed == FixedMethodParams(alpha=0.2, n_aug=2, eps_aug=0.15)
         assert cfg.search.n_trials == 4

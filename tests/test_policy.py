@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from softaug.augment import PUNCTUATION_MARKS
 from softaug.datasets import make_synthetic_reviews
-from softaug.errors import DomainError
+from softaug.errors import DomainError, from_json
 from softaug.labels import smooth_label
 from softaug.policy import (
     _RANGES,
@@ -83,7 +84,7 @@ class TestValidatePolicy:
         bad = dict(BASELINE_POLICY.to_dict(), eps_ori=0.7)
         for build in (
             lambda: AugmentationPolicy(**bad),
-            lambda: AugmentationPolicy.from_dict(bad),
+            lambda: from_json(AugmentationPolicy, bad, "policy"),
         ):
             with pytest.raises(DomainError, match=r"^invalid policy: eps_ori: 0.7 not in \[0, 0.5\]$"):
                 build()
@@ -146,6 +147,18 @@ class TestPolicySpaceBounds:
             sample_policy(space, rng)  # construction raises on an invalid draw
 
     @pytest.mark.parametrize(
+        "kwargs",
+        [{"p_aug": (0, True)}, {"weight": (0.1, True)}, {"p_aug": ("0.1", 1.0)}, {"p_aug": (0.1,)},
+         {"eps_aug": [0.0, 0.5, 0.7]}, {"n_aug_choices": 4}, {"n_aug_choices": "12"}],
+        ids=["bool-hi", "bool-weight", "string-lo", "one-bound", "three-bounds", "int-choices", "string-choices"],
+    )
+    def test_constructor_checks_value_types(self, kwargs):
+        # a space built in code is checked as one read from JSON is, at construction
+        [(name, value)] = kwargs.items()
+        with pytest.raises(DomainError, match=f"^{name}: {re.escape(repr(value))} "):
+            PolicySpace(**kwargs)
+
+    @pytest.mark.parametrize(
         "d",
         [
             {"p_aug": ["x", 1]},
@@ -161,12 +174,17 @@ class TestPolicySpaceBounds:
         ],
     )
     def test_from_dict_rejects_malformed(self, d):
-        with pytest.raises(DomainError, match=next(iter(d))):
-            PolicySpace.from_dict(d)
+        # the constructor holds the check, so a space built in code fails as a JSON one does
+        for build in (lambda: PolicySpace(**d), lambda: from_json(PolicySpace, d, "space")):
+            with pytest.raises(DomainError, match=next(iter(d))):
+                build()
 
     def test_from_dict_reads_lists(self):
-        space = PolicySpace.from_dict({"p_aug": [0, 1], "n_aug_choices": [1, 3]})
+        space = from_json(PolicySpace, {"p_aug": [0, 1], "n_aug_choices": [1, 3]}, "space")
         assert space.p_aug == (0.0, 1.0) and space.n_aug_choices == (1, 3)
+        # stored as floats: a trial log prints 0.0, not 0, as with bounds read from JSON
+        assert [type(b) for b in space.p_aug] == [float, float]
+        assert PolicySpace(p_aug=(0, 1), n_aug_choices=[1, 3]) == space
 
 
 class TestApplyPolicy:
@@ -361,4 +379,4 @@ class TestApplyPolicyGolden:
 
 class TestPolicySerialization:
     def test_json_round_trip(self):
-        assert AugmentationPolicy.from_dict(json.loads(BASELINE_POLICY.to_json())) == BASELINE_POLICY
+        assert from_json(AugmentationPolicy, json.loads(BASELINE_POLICY.to_json()), "policy") == BASELINE_POLICY
